@@ -1,10 +1,9 @@
 """Execution backend micro-benchmark: dynamic instructions/sec.
 
-Measures all three execution backends (``switch`` — the reference
-opcode dispatch loop — ``compiled`` — per-block generated code — and
-``batched`` — the lockstep tier over the compiled codegen, see
-``docs/performance.md``).  The scalar backends run hmmsearch in the
-three dispatch modes each specializes for:
+Measures both execution backends (``switch`` — the reference opcode
+dispatch loop — and ``compiled`` — per-block generated code, see
+``docs/performance.md``) on hmmsearch in the three dispatch modes each
+specializes for:
 
 * **bare** — no consumers attached (no events constructed);
 * **masked** — ``InstructionMix`` only (interest-masked event dispatch,
@@ -12,39 +11,26 @@ three dispatch modes each specializes for:
 * **fused** — the standard four-tool characterization set, collapsed
   into the fused fast path.
 
-The batched backend is measured on its design point: a homogeneous
-sweep of one program (promlk) over ``B = 8`` distinct dataset seeds,
-all eight instances executing in lockstep through one
-:func:`repro.exec.batched.run_batch` call with the fused tool set
-attached, against the same eight runs executed one-by-one on the
-compiled backend.  All measurements interleave inside one best-of-N
-repeat loop so machine noise hits every backend alike.
+All measurements interleave inside one best-of-N repeat loop so
+machine noise hits both backends alike.
 
 One ``BENCH_interp_throughput_<backend>.json`` record is emitted per
-backend (each carries its throughput, its ``backend`` field, and — for
-the batched record — the effective batch size ``B``, so the regression
-gate never compares across engines), and the test asserts both
-acceptance ratios: compiled must stay at least 3x switch with the four
-standard tools attached, and batched must reach at least 5x compiled
-on the 8-instance sweep with every lane's tool snapshots bit-identical
-to its scalar run.
+backend (each carries its throughput and its ``backend`` field, so the
+regression gate never compares across engines), and the test asserts
+the acceptance ratio: compiled must stay at least 3x switch with the
+four standard tools attached.
 """
 
 import os
 import time
 
 from repro.atom import CacheSim, InstructionMix, LoadCoverage, SequenceProfile
-from repro.exec import make_interpreter, run_batch
+from repro.exec import make_interpreter
 from repro.workloads import get_workload
 
 CHAR_SCALE = os.environ.get("REPRO_SCALE", "small")
 
-BACKENDS = ("switch", "compiled", "batched")
-SCALAR_BACKENDS = ("switch", "compiled")
-
-#: The batched tier's gated sweep: one program, B distinct dataset seeds.
-BATCH_WORKLOAD = "promlk"
-BATCH = 8
+BACKENDS = ("switch", "compiled")
 
 MODES = {
     "bare": tuple,
@@ -67,94 +53,39 @@ def _run_once(backend, program, dataset, tool_factory) -> dict:
     return {"instructions": executed, "instructions_per_sec": executed / elapsed}
 
 
-def _snapshots(tool_sets):
-    return [[tool.snapshot() for tool in tools] for tools in tool_sets]
-
-
 def sweep(repeats: int = 6):
     """Per-backend best-of-``repeats`` throughput.
 
     The repeat loop is outermost so every backend's measurements
     interleave: a slow patch of machine time degrades all of them
-    equally instead of biasing whichever ran inside it.  Returns the
-    scalar mode grid plus the batched sweep's figures (including the
-    per-lane tool snapshots of both sides, for the bit-identity gate).
+    equally instead of biasing whichever ran inside it.
     """
     spec = get_workload("hmmsearch")
     program = spec.program()
     dataset = spec.dataset(CHAR_SCALE, 0)
-    bspec = get_workload(BATCH_WORKLOAD)
-    bprogram = bspec.program()
-    bdatasets = [bspec.dataset(CHAR_SCALE, seed) for seed in range(BATCH)]
 
     results = {
         backend: {mode: {"instructions": 0, "instructions_per_sec": 0.0}
                   for mode in MODES}
-        for backend in SCALAR_BACKENDS
-    }
-    batched = {
-        "workload": BATCH_WORKLOAD,
-        "batch": BATCH,
-        "instructions": 0,
-        "instructions_per_sec": 0.0,
-        "scalar_instructions_per_sec": 0.0,
-        "lockstep_lanes": 0,
-        "batched_snapshots": None,
-        "scalar_snapshots": None,
+        for backend in BACKENDS
     }
     for _ in range(repeats):
         for mode, tool_factory in MODES.items():
-            for backend in SCALAR_BACKENDS:
+            for backend in BACKENDS:
                 entry = _run_once(backend, program, dataset, tool_factory)
                 slot = results[backend][mode]
                 slot["instructions"] = entry["instructions"]
                 slot["instructions_per_sec"] = max(
                     slot["instructions_per_sec"], entry["instructions_per_sec"]
                 )
-
-        # The lockstep sweep: one run_batch over all B datasets ...
-        started = time.perf_counter()
-        lanes = run_batch(
-            bprogram, bdatasets, consumers_factory=MODES["fused"]
-        )
-        elapsed = time.perf_counter() - started
-        assert all(lane.error is None for lane in lanes)
-        total = sum(lane.interp.executed for lane in lanes)
-        batched["instructions"] = total
-        batched["lockstep_lanes"] = sum(lane.lockstep for lane in lanes)
-        batched["instructions_per_sec"] = max(
-            batched["instructions_per_sec"], total / elapsed
-        )
-        if batched["batched_snapshots"] is None:
-            batched["batched_snapshots"] = _snapshots(
-                [lane.consumers for lane in lanes]
-            )
-
-        # ... against the same B runs, one-by-one on the compiled engine.
-        started = time.perf_counter()
-        scalar_total = 0
-        scalar_tools = []
-        for bdataset in bdatasets:
-            tools = MODES["fused"]()
-            interp = make_interpreter(bprogram, bdataset, backend="compiled")
-            scalar_total += interp.run(consumers=tools)
-            scalar_tools.append(tools)
-        elapsed = time.perf_counter() - started
-        assert scalar_total == total
-        batched["scalar_instructions_per_sec"] = max(
-            batched["scalar_instructions_per_sec"], scalar_total / elapsed
-        )
-        if batched["scalar_snapshots"] is None:
-            batched["scalar_snapshots"] = _snapshots(scalar_tools)
-
-    return results, batched
+    return results
 
 
 def test_interpreter_throughput(benchmark, publish):
-    results, batched = benchmark.pedantic(sweep, iterations=1, rounds=1)
+    results = benchmark.pedantic(sweep, iterations=1, rounds=1)
 
     lines = [f"execution backend throughput, hmmsearch @ {CHAR_SCALE}:"]
-    for backend in SCALAR_BACKENDS:
+    for backend in BACKENDS:
         for mode, entry in results[backend].items():
             lines.append(
                 f"  {backend:9s} {mode:7s} "
@@ -167,29 +98,9 @@ def test_interpreter_throughput(benchmark, publish):
             / results["switch"][mode]["instructions_per_sec"]
         )
         lines.append(f"  compiled/switch ({mode}): {ratio:.2f}x")
-    batch_ratio = (
-        batched["instructions_per_sec"]
-        / batched["scalar_instructions_per_sec"]
-    )
-    lines.append(
-        f"batched lockstep sweep, {batched['workload']} @ {CHAR_SCALE}, "
-        f"B={batched['batch']} distinct seeds:"
-    )
-    lines.append(
-        f"  batched   fused   "
-        f"{batched['instructions_per_sec'] / 1e6:8.3f} M instr/s"
-        f"  ({batched['instructions']} instrs, "
-        f"{batched['lockstep_lanes']}/{batched['batch']} lanes in lockstep)"
-    )
-    lines.append(
-        f"  compiled  fused   "
-        f"{batched['scalar_instructions_per_sec'] / 1e6:8.3f} M instr/s"
-        f"  (same {batched['batch']} runs, one-by-one)"
-    )
-    lines.append(f"  batched/compiled (fused sweep): {batch_ratio:.2f}x")
     text = "\n".join(lines)
 
-    for backend in SCALAR_BACKENDS:
+    for backend in BACKENDS:
         publish(
             f"interp_throughput_{backend}",
             text,
@@ -201,37 +112,14 @@ def test_interpreter_throughput(benchmark, publish):
             backend=backend,
             rate=results[backend]["fused"]["instructions_per_sec"],
         )
-    publish(
-        "interp_throughput_batched",
-        text,
-        rows=[
-            {
-                "configuration": "fused-sweep",
-                "backend": "batched",
-                "workload": batched["workload"],
-                "batch": batched["batch"],
-                "instructions": batched["instructions"],
-                "instructions_per_sec": batched["instructions_per_sec"],
-                "scalar_instructions_per_sec": (
-                    batched["scalar_instructions_per_sec"]
-                ),
-                "ratio": batch_ratio,
-                "lockstep_lanes": batched["lockstep_lanes"],
-            }
-        ],
-        instructions=batched["instructions"],
-        backend="batched",
-        batch=batched["batch"],
-        rate=batched["instructions_per_sec"],
-    )
 
-    for backend in SCALAR_BACKENDS:
+    for backend in BACKENDS:
         bare = results[backend]["bare"]["instructions_per_sec"]
         masked = results[backend]["masked"]["instructions_per_sec"]
         fused = results[backend]["fused"]["instructions_per_sec"]
         assert bare > masked > 0, backend
         assert fused > 0, backend
-    # All backends execute the identical dynamic instruction stream.
+    # Both backends execute the identical dynamic instruction stream.
     assert (
         results["compiled"]["fused"]["instructions"]
         == results["switch"]["fused"]["instructions"]
@@ -248,9 +136,3 @@ def test_interpreter_throughput(benchmark, publish):
         / results["switch"]["bare"]["instructions_per_sec"]
     )
     assert bare_ratio > four_ratio, "bare mode should benefit most"
-    # Batched acceptance: the whole sweep actually ran in lockstep, every
-    # lane's tool snapshots are bit-identical to its scalar run, and the
-    # sweep is >=5x the compiled backend on the same work.
-    assert batched["lockstep_lanes"] == batched["batch"]
-    assert batched["batched_snapshots"] == batched["scalar_snapshots"]
-    assert batch_ratio >= 5.0, f"batched/compiled sweep ratio {batch_ratio:.2f}x"

@@ -2,7 +2,7 @@
 
 The execution engine is itself a characterizable artifact: in the
 spirit of uops.info (per-instruction latency/throughput tables for
-real CPUs), this benchmark times every major opcode class on all three
+real CPUs), this benchmark times every major opcode class on both
 backends and publishes the table as ``BENCH_opcode_table.json`` with a
 committed baseline, so an engine change that slows one opcode path
 down — not just the blended hmmsearch mix — trips the regression gate.
@@ -15,23 +15,20 @@ amortized across the unrolling, so the stream is dominated by the
 target opcode; the numbers are steady-state *throughput* figures
 (ns per dynamic instruction and M instr/s), not isolated-instruction
 latencies — exactly the caveat uops.info documents for loop-measured
-values.  The batched backend runs the same kernel as a homogeneous
-8-lane lockstep batch, so its column shows the per-opcode effect of
-amortizing dispatch across a batch.  All three backends must execute
-identical dynamic instruction counts; measurements interleave
-best-of-``REPEATS`` so machine noise lands on every backend alike.
+values.  Both backends must execute identical dynamic instruction
+counts; measurements interleave best-of-``REPEATS`` so machine noise
+lands on both backends alike.
 """
 
 import time
 
-from repro.exec import make_interpreter, run_batch
+from repro.exec import make_interpreter
 from repro.lang import CompilerOptions, compile_source
 
 O0 = CompilerOptions(opt_level=0)
 O2 = CompilerOptions(opt_level=2)
 
-BACKENDS = ("switch", "compiled", "batched")
-BATCH = 8
+BACKENDS = ("switch", "compiled")
 UNROLL = 16
 ITERATIONS = 2000
 REPEATS = 3
@@ -89,19 +86,6 @@ def _time_scalar(backend: str, program, bindings) -> tuple:
     return executed, time.perf_counter() - started
 
 
-def _time_batched(program, bindings) -> tuple:
-    lanes = run_batch(
-        program, [dict(bindings) for _ in range(BATCH)]
-    )
-    started = time.perf_counter()
-    lanes = run_batch(
-        program, [dict(bindings) for _ in range(BATCH)]
-    )
-    elapsed = time.perf_counter() - started
-    assert all(lane.error is None for lane in lanes)
-    return sum(lane.interp.executed for lane in lanes), elapsed
-
-
 def build_table():
     """Per-opcode, per-backend best-of-``REPEATS`` figures."""
     rows = []
@@ -117,15 +101,8 @@ def build_table():
         counts = {}
         for _ in range(REPEATS):
             for backend in BACKENDS:
-                if backend == "batched":
-                    executed, elapsed = _time_batched(program, bindings)
-                    per_lane = executed // BATCH
-                else:
-                    per_lane, elapsed = _time_scalar(
-                        backend, program, bindings
-                    )
-                    executed = per_lane
-                counts[backend] = per_lane
+                executed, elapsed = _time_scalar(backend, program, bindings)
+                counts[backend] = executed
                 best[backend] = max(best[backend], executed / elapsed)
         assert len(set(counts.values())) == 1, counts
         row = {"op": label, "instructions": counts["compiled"]}
@@ -139,7 +116,7 @@ def build_table():
 def render(rows) -> str:
     lines = [
         f"per-opcode engine characterization (bare loop, {UNROLL}-way "
-        f"unrolled, batched B={BATCH}; ns/instr, lower is better):",
+        "unrolled; ns/instr, lower is better):",
         f"  {'op':7s} " + " ".join(f"{b:>10s}" for b in BACKENDS),
     ]
     for row in rows:
@@ -159,10 +136,8 @@ def test_opcode_table(benchmark, publish):
         render(rows),
         rows=rows,
         instructions=sum(row["instructions"] for row in rows),
-        batch=BATCH,
     )
     for row in rows:
         # Dispatch amortization must actually show up per opcode: the
-        # generated backends beat the switch loop on every class.
+        # generated backend beats the switch loop on every class.
         assert row["compiled_ns_per_instr"] < row["switch_ns_per_instr"], row
-        assert row["batched_ns_per_instr"] < row["switch_ns_per_instr"], row

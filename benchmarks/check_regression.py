@@ -23,12 +23,6 @@ Absolute gates ride along:
   per dynamic instruction (default 1.0) — the trace store's whole
   point is answering analyses faster than re-simulation from a
   compact artifact;
-* when the current cluster-throughput record exists
-  (``bench_cluster_throughput.py``), its ``cluster_scaling_x`` — warm
-  req/s at four replicas over one replica, measured through the real
-  ``repro serve --replicas`` CLI — must stay at or above
-  ``--min-cluster-scaling`` (default 2.5x), and the replica-kill phase
-  must have lost zero requests permanently;
 * when the current LDBP record exists (``bench_ldbp.py``), its
   ``ldbp_reclaimed_fraction`` — the share of the >=5%-misprediction
   branch population the load-driven predictor pulls back under the
@@ -138,54 +132,6 @@ def _check_trace_replay(
     return ok
 
 
-def _check_cluster_scaling(current_dir: str, floor: float) -> bool:
-    """The absolute cluster-scaling gates; True = pass.
-
-    Reads the current ``BENCH_cluster_throughput.json`` record;
-    silently passes when the record (or a field) is absent so partial
-    benchmark runs do not trip it.
-    """
-    path = os.path.join(current_dir, "BENCH_cluster_throughput.json")
-    try:
-        with open(path) as handle:
-            record = json.load(handle)
-    except (OSError, ValueError):
-        return True
-    ok = True
-    scaling = record.get("cluster_scaling_x")
-    if isinstance(scaling, (int, float)):
-        single = record.get("cluster_single_rps")
-        quad = record.get("cluster_quad_rps")
-        detail = (
-            f" ({single:.1f} -> {quad:.1f} req/s)"
-            if isinstance(single, (int, float))
-            and isinstance(quad, (int, float))
-            else ""
-        )
-        if scaling < floor:
-            print(
-                f"FAIL: cluster N=4/N=1 warm scaling only {scaling:.2f}x "
-                f"(floor {floor:.1f}x){detail}"
-            )
-            ok = False
-        else:
-            print(
-                f"cluster N=4/N=1 warm scaling {scaling:.2f}x "
-                f"(floor {floor:.1f}x){detail}"
-            )
-    lost = record.get("kill_lost_requests")
-    if isinstance(lost, (int, float)):
-        if lost > 0:
-            print(
-                f"FAIL: replica-kill phase lost {lost:.0f} requests "
-                f"permanently (must be 0)"
-            )
-            ok = False
-        else:
-            print("replica-kill phase lost 0 requests permanently")
-    return ok
-
-
 def _check_ldbp(current_dir: str, min_fraction: float, max_ns: float) -> bool:
     """The absolute LDBP-reclamation gates; True = pass.
 
@@ -268,12 +214,6 @@ def main(argv=None) -> int:
         help="promlk trace bytes/instruction budget (default 1.0)",
     )
     parser.add_argument(
-        "--min-cluster-scaling",
-        type=float,
-        default=2.5,
-        help="cluster N=4/N=1 warm-throughput scaling floor (default 2.5)",
-    )
-    parser.add_argument(
         "--min-ldbp-reclaimed",
         type=float,
         default=0.33,
@@ -297,29 +237,18 @@ def main(argv=None) -> int:
     trace_ok = _check_trace_replay(
         args.current, args.min_replay_speedup, args.max_trace_bytes
     )
-    cluster_ok = _check_cluster_scaling(
-        args.current, args.min_cluster_scaling
-    )
     ldbp_ok = _check_ldbp(
         args.current, args.min_ldbp_reclaimed, args.max_ldbp_overhead_ns
     )
-    if not rows and overhead_ok and trace_ok and cluster_ok and ldbp_ok:
+    if not rows and overhead_ok and trace_ok and ldbp_ok:
         print("no baseline benchmarks found — nothing to gate")
         return 0
-    if (
-        not gate(rows)
-        or not overhead_ok
-        or not trace_ok
-        or not cluster_ok
-        or not ldbp_ok
-    ):
+    if not gate(rows) or not overhead_ok or not trace_ok or not ldbp_ok:
         failing = [row.name for row in rows if row.failed]
         if not overhead_ok:
             failing.append("observability_overhead")
         if not trace_ok:
             failing.append("trace_replay")
-        if not cluster_ok:
-            failing.append("cluster_scaling")
         if not ldbp_ok:
             failing.append("ldbp_reclamation")
         print(f"FAIL: perf gate tripped by: {', '.join(failing)}")

@@ -120,14 +120,12 @@ def publish(results_dir, benchmark, request):
     The execution backend lands in both the record and its manifest
     (the regression gate refuses cross-backend comparisons); pass
     ``backend=`` when a benchmark pins one explicitly, otherwise the
-    ambient ``$REPRO_BACKEND``/default is recorded.  ``batch=`` records
-    the effective lockstep batch size B alongside the backend name when
-    a benchmark exercises the batched tier.
+    ambient ``$REPRO_BACKEND``/default is recorded.
     """
     started = time.time()
 
     def _publish(name: str, text: str, rows=None, instructions=None,
-                 backend=None, rate=None, batch=None, extra=None) -> None:
+                 backend=None, rate=None, extra=None) -> None:
         print()
         print(text)
         (results_dir / f"{name}.txt").write_text(text + "\n")
@@ -150,7 +148,6 @@ def publish(results_dir, benchmark, request):
             "jobs": JOBS,
             "cache_enabled": CACHE_ENABLED,
             "backend": backend,
-            "batch": batch,
             "wall_time_s": wall,
             "instructions": instructions,
             # rate= overrides the wall-derived figure when a benchmark
@@ -178,7 +175,6 @@ def publish(results_dir, benchmark, request):
                 "jobs": JOBS,
                 "cache_enabled": CACHE_ENABLED,
                 "backend": backend,
-                "batch": batch,
             },
             timings={"wall": wall},
             extra={"instructions": instructions},

@@ -72,12 +72,10 @@ class RunConfig:
     config (default: whatever ``$REPRO_FAULTS`` says, usually none).
     ``trace`` names a JSONL file: telemetry is enabled for the
     session's lifetime and flushed there on close.  ``backend`` picks
-    the execution engine (``compiled``/``switch``/``batched``; None
-    defers to ``$REPRO_BACKEND``, then the compiled default — see
-    :mod:`repro.exec.backends`).  All backends are bit-identical, so
-    cached runs are shared across backends; ``batched`` additionally
-    makes :meth:`Session.characterize_many` group compatible requests
-    (same workload and scale) into lockstep batches.
+    the execution engine (``compiled`` or ``switch``; None defers to
+    ``$REPRO_BACKEND``, then the compiled default — see
+    :mod:`repro.exec.backends`).  Both backends are bit-identical, so
+    cached runs are shared across backends.
     """
 
     scale: str = "medium"
@@ -170,7 +168,7 @@ class Session:
 
     @property
     def backend(self) -> str:
-        """The resolved backend name (compiled/switch/batched)."""
+        """The resolved backend name (compiled/switch)."""
         from repro.exec.backends import resolve_backend
 
         return resolve_backend(self.config.backend)
@@ -286,12 +284,12 @@ class Session:
         ``tools`` is a list of :mod:`repro.atom.registry` names (default:
         the standard characterization four).  The first analyze of a
         ``(workload, scale, seed)`` records a trace with the compiled
-        backend's ``record="trace"`` variant and banks it in the run
-        cache; after that any tool set is answered at replay speed.
-        Recording always uses the compiled backend regardless of the
-        session's configured backend — all backends are bit-identical,
-        so the trace (and everything replayed from it) matches what any
-        of them would observe.  Unknown tool names raise ``KeyError``.
+        backend's record mode and banks it in the run cache; after
+        that any tool set is answered at replay speed.  Recording
+        always uses the compiled backend regardless of the session's
+        configured backend — both backends are bit-identical, so the
+        trace (and everything replayed from it) matches what either
+        would observe.  Unknown tool names raise ``KeyError``.
         """
         from repro.atom.registry import payloads as tool_payloads
         from repro.atom.registry import resolve_tools
@@ -432,29 +430,15 @@ class Session:
         it is the hook request deadlines are mapped onto.  Unknown
         workload names raise ``KeyError`` before any work is dispatched.
 
-        With the ``batched`` backend, missing runs are additionally
-        grouped by (workload, scale): each group becomes **one**
-        lockstep batch task executing all its seeds together through
-        :func:`repro.exec.batched.run_batch`, settling per lane — a
-        seed that faults mid-batch degrades its own slot to a
-        :class:`~repro.core.parallel.FailedCell` while its batchmates
-        still land.  Every lane is bit-identical to a scalar run, so
-        memo/cache entries stay shared with the other backends.
-
         ``tags`` is an optional per-spec list of trace attrs (the
         request server passes ``{"request_id": ...}`` per request):
         they are folded into the engine task dispatched for each spec
         and installed as ambient trace context in the worker, so the
         spans a task produces carry the request ID(s) that caused it.
-        Several specs landing on one engine task (duplicate specs, or
-        seeds grouped into one lockstep batch) merge their IDs into a
-        ``request_ids`` list.
+        Duplicate specs landing on one engine task merge their IDs into
+        a ``request_ids`` list.
         """
-        from repro.core.parallel import (
-            FailedCell,
-            _characterize_batch_task,
-            _characterize_task,
-        )
+        from repro.core.parallel import FailedCell, _characterize_task
         from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 
         keys = [
@@ -484,25 +468,20 @@ class Session:
                     else:
                         entry[field] = value
 
-        def _ctx(task_keys) -> Optional[Dict[str, object]]:
-            """The merged trace context for one engine task covering
-            ``task_keys``; None when no spec carried tags."""
-            rids: List[object] = []
-            merged: Dict[str, object] = {}
-            for task_key in task_keys:
-                entry = key_attrs.get(task_key)
-                if not entry:
-                    continue
-                rids.extend(entry.get("_rids", ()))
-                merged.update(
-                    {f: v for f, v in entry.items() if f != "_rids"}
-                )
-            if rids:
-                if len(rids) == 1:
-                    merged["request_id"] = rids[0]
-                else:
-                    merged["request_ids"] = rids
+        def _ctx(key) -> Optional[Dict[str, object]]:
+            """The trace context for the engine task running ``key``;
+            None when no spec for it carried tags."""
+            entry = key_attrs.get(key)
+            if not entry:
+                return None
+            merged = {f: v for f, v in entry.items() if f != "_rids"}
+            rids = entry.get("_rids", [])
+            if len(rids) == 1:
+                merged["request_id"] = rids[0]
+            elif rids:
+                merged["request_ids"] = rids
             return merged or None
+
         with obs.span("experiment.batch", requested=len(keys)) as span:
             resolved: Dict[Tuple[str, str, int], object] = {}
             for key in dict.fromkeys(keys):
@@ -517,28 +496,12 @@ class Session:
             missing = [key for key in dict.fromkeys(keys) if key not in resolved]
             span.set_attr(missing=len(missing), jobs=self.jobs)
             if missing:
-                batched = self.backend == "batched"
-                if batched:
-                    groups: Dict[Tuple[str, str], List[int]] = {}
-                    for name, scale, seed in missing:
-                        groups.setdefault((name, scale), []).append(seed)
-                    func = _characterize_batch_task
-                    tasks = [
-                        (name, scale, tuple(seeds), DEFAULT_MAX_INSTRUCTIONS)
-                        for (name, scale), seeds in groups.items()
-                    ]
-                    contexts = [
-                        _ctx([(name, scale, seed) for seed in seeds])
-                        for (name, scale), seeds in groups.items()
-                    ]
-                else:
-                    func = _characterize_task
-                    tasks = [
-                        (name, scale, seed, DEFAULT_MAX_INSTRUCTIONS,
-                         self.config.backend)
-                        for name, scale, seed in missing
-                    ]
-                    contexts = [_ctx([key]) for key in missing]
+                tasks = [
+                    (name, scale, seed, DEFAULT_MAX_INSTRUCTIONS,
+                     self.config.backend)
+                    for name, scale, seed in missing
+                ]
+                contexts = [_ctx(key) for key in missing]
                 if not any(contexts):
                     contexts = None
                 runner = self._batch_runner()
@@ -549,62 +512,22 @@ class Session:
                     )
                 try:
                     settled_list = runner.map_settled(
-                        func, tasks, contexts=contexts
+                        _characterize_task, tasks, contexts=contexts
                     )
                 finally:
                     runner.timeout = saved
-                if batched:
-                    self._settle_batched(tasks, settled_list, resolved)
-                else:
-                    for key, settled in zip(missing, settled_list):
-                        if isinstance(settled, FailedCell):
-                            obs.metrics().counter(
-                                "experiments.batch_failures"
-                            ).inc()
-                            resolved[key] = settled
-                            continue
-                        _name, result = settled
-                        self._runs[key] = resolved[key] = result
-                        if self._cache is not None:
-                            self._cache.store(self._fingerprint(*key), result)
+                for key, settled in zip(missing, settled_list):
+                    if isinstance(settled, FailedCell):
+                        obs.metrics().counter(
+                            "experiments.batch_failures"
+                        ).inc()
+                        resolved[key] = settled
+                        continue
+                    _name, result = settled
+                    self._runs[key] = resolved[key] = result
+                    if self._cache is not None:
+                        self._cache.store(self._fingerprint(*key), result)
             return [resolved[key] for key in keys]
-
-    def _settle_batched(self, tasks, settled_list, resolved) -> None:
-        """Fan lockstep-batch outcomes back onto per-(name, scale, seed)
-        slots: a whole-batch failure marks every member seed, a per-lane
-        failure marks only its own, and successful lanes are memoized
-        and cached exactly like scalar runs (they are bit-identical)."""
-        from repro.core.parallel import FailedCell
-
-        for task, settled in zip(tasks, settled_list):
-            name, scale, seeds, max_instructions = task
-            if isinstance(settled, FailedCell):
-                for seed in seeds:
-                    obs.metrics().counter("experiments.batch_failures").inc()
-                    resolved[(name, scale, seed)] = FailedCell(
-                        f"characterize workload={name} scale={scale} "
-                        f"seed={seed}",
-                        (name, scale, seed, max_instructions),
-                        settled.error,
-                        settled.attempts,
-                    )
-                continue
-            _name, lanes = settled
-            for seed, ok, payload in lanes:
-                key = (name, scale, seed)
-                if not ok:
-                    obs.metrics().counter("experiments.batch_failures").inc()
-                    resolved[key] = FailedCell(
-                        f"characterize workload={name} scale={scale} "
-                        f"seed={seed}",
-                        (name, scale, seed, max_instructions),
-                        payload,
-                        1,
-                    )
-                    continue
-                self._runs[key] = resolved[key] = payload
-                if self._cache is not None:
-                    self._cache.store(self._fingerprint(*key), payload)
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(

@@ -88,7 +88,7 @@ def characterize(
     ``cache``, ``sequences``), e.g. to supply a custom cache hierarchy.
     ``workload`` is a telemetry-only label attached to the span this
     run emits when tracing is enabled (see :mod:`repro.obs`).
-    ``backend`` selects the execution engine (compiled/switch/batched;
+    ``backend`` selects the execution engine (compiled/switch;
     default per :func:`repro.exec.backends.resolve_backend`);
     ``code_key`` is a stable run identity (the workload fingerprint)
     letting the compiled backend share generated code across equal
@@ -122,62 +122,3 @@ def characterize(
         sequences=sequences,
         executed=executed,
     )
-
-
-def characterize_batch(
-    program: Program,
-    bindings_list: List[Mapping[str, object]],
-    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    workload: Optional[str] = None,
-    code_key: Optional[str] = None,
-) -> List[object]:
-    """Characterize B datasets of one ``program`` in one lockstep batch.
-
-    The batched-backend counterpart of :func:`characterize`: each
-    binding set becomes one lane of :func:`repro.exec.batched.run_batch`
-    with the full standard tool set attached, and lanes that stay
-    converged pay the interpretation loop once for the whole batch.
-    The returned list is aligned with ``bindings_list``; each element is
-    either a :class:`CharacterizationResult` (bit-identical to what a
-    scalar :func:`characterize` call over the same bindings produces)
-    or the exception that run raised (``BudgetExceeded``, a fault, ...)
-    so callers can settle per-lane exactly like per-task.
-    """
-    from repro.exec.batched import run_batch
-
-    def _tools():
-        return (InstructionMix(), LoadCoverage(), CacheSim(), SequenceProfile())
-
-    with obs.span(
-        "characterize_batch",
-        workload=workload or "?",
-        batch=len(bindings_list),
-    ) as span:
-        lanes = run_batch(
-            program,
-            bindings_list,
-            consumers_factory=_tools,
-            max_instructions=max_instructions,
-            code_key=code_key,
-        )
-        outcomes: List[object] = []
-        lockstep = 0
-        for lane in lanes:
-            if lane.lockstep:
-                lockstep += 1
-            if lane.error is not None:
-                outcomes.append(lane.error)
-                continue
-            mix, coverage, cache, sequences = lane.consumers
-            outcomes.append(
-                CharacterizationResult(
-                    program=program,
-                    mix=mix,
-                    coverage=coverage,
-                    cache=cache,
-                    sequences=sequences,
-                    executed=lane.interp.executed,
-                )
-            )
-        span.set_attr(lockstep=lockstep)
-    return outcomes

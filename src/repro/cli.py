@@ -119,11 +119,10 @@ def _work_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--backend",
-        choices=["compiled", "switch", "batched"],
+        choices=["compiled", "switch"],
         default=suppress,
         help="execution backend (default: $REPRO_BACKEND or compiled); "
-        "all are bit-identical — batched groups compatible runs into "
-        "lockstep batches — see docs/performance.md",
+        "both are bit-identical — see docs/performance.md",
     )
     return parent
 
@@ -290,38 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable per-request metrics/access-log/flight-recorder "
         "(the observability-overhead baseline)",
-    )
-    serve.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run a sharded cluster: N replica subprocesses behind a "
-        "consistent-hash router on --port (0 = single process; "
-        "docs/service.md)",
-    )
-    serve.add_argument(
-        "--replica-base-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="first replica port for --replicas (default: --port + 1)",
-    )
-    serve.add_argument(
-        "--replica-id",
-        default=None,
-        metavar="ID",
-        help="shard label for this process's serve.requests/serve.stage_ms "
-        "metrics (set automatically on cluster replicas)",
-    )
-    serve.add_argument(
-        "--queue-parks",
-        type=int,
-        default=1,
-        metavar="N",
-        help="with --replicas: how many times the router parks a request "
-        "a replica rejected with 429 queue_full (sleeping out the "
-        "replica's Retry-After) before passing the 429 through",
     )
 
     cache = sub.add_parser(
@@ -602,9 +569,6 @@ def _cmd_serve(args) -> None:
     from repro.serve import CharacterizationService, ServicePolicy
     from repro.serve.server import main_loop
 
-    if args.replicas:
-        _cmd_serve_cluster(args)
-        return
     session = _session_from_args(
         args, scale=args.scale, cache_default=True, keep_workers=True
     )
@@ -620,7 +584,6 @@ def _cmd_serve(args) -> None:
         telemetry=not args.no_telemetry,
         access_log_path=args.access_log,
         flightrec_dir=args.flightrec_dir or None,
-        replica_id=args.replica_id,
     )
     print(
         f"repro serve: http://{args.host}:{args.port} "
@@ -632,48 +595,6 @@ def _cmd_serve(args) -> None:
         main_loop(service, args.host, args.port)
     finally:
         session.close()
-
-
-def _cmd_serve_cluster(args) -> None:
-    """``repro serve --replicas N``: the sharded cluster router."""
-    from repro.core import faults as faults_mod
-    from repro.serve.cluster import CharacterizationCluster, ClusterSettings
-
-    spec = getattr(args, "faults", None)
-    settings = ClusterSettings(
-        replicas=args.replicas,
-        host=args.host,
-        port=args.port,
-        base_port=args.replica_base_port,
-        scale=args.scale,
-        seed=args.seed,
-        jobs=getattr(args, "jobs", None),
-        backend=getattr(args, "backend", None),
-        use_cache=getattr(args, "use_cache", True),
-        cache_dir=getattr(args, "cache_dir", None),
-        retries=getattr(args, "retries", None),
-        timeout_s=getattr(args, "timeout", None),
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        batch_window_s=args.batch_window,
-        queue_park_retries=args.queue_parks,
-        deadline_s=args.deadline,
-        faults=faults_mod.FaultConfig.from_spec(spec) if spec else None,
-        faults_spec=spec,
-        access_log=args.access_log,
-        flightrec_dir=args.flightrec_dir or None,
-        no_telemetry=args.no_telemetry,
-    )
-    cluster = CharacterizationCluster(settings)
-    cluster.start()
-    ports = [replica.port for replica in cluster.replicas.values()]
-    print(
-        f"repro serve cluster: http://{args.host}:{args.port} "
-        f"routing {args.replicas} replicas on ports "
-        f"{ports[0]}..{ports[-1]} (scale={args.scale}, "
-        f"shared cache={'on' if settings.use_cache else 'off'})"
-    )
-    cluster.run()
 
 
 def _cmd_cache(args) -> None:

@@ -27,14 +27,6 @@ Three fault kinds are supported:
 * ``corrupt`` — flip bytes of the task's result payload *after* its
   checksum was computed, so the engine's integrity check must catch it.
 
-A fourth kind, ``replica_kill``, targets a different layer: the shard
-router in :mod:`repro.serve.cluster` rolls it per (replica, health
-tick) and SIGKILLs the afflicted replica subprocess, proving that the
-ring remaps the dead replica's hash range to survivors and no request
-is permanently lost.  The engine's injection sites ignore it (its rate
-is looked up by kind name, and no engine site asks for
-``replica_kill``).
-
 Every injection bumps the ``faults.injected`` counter (and a per-kind
 ``faults.injected.<kind>``) in the :mod:`repro.obs` metrics registry.
 
@@ -93,10 +85,7 @@ class FaultConfig:
     """Probabilities and determinism knobs for injected faults.
 
     ``crash``/``hang``/``corrupt`` are per-task probabilities in
-    [0, 1]; ``replica_kill`` is the per-(replica, health-tick)
-    probability the cluster router kills a replica subprocess (engine
-    sites never roll it).  ``seed`` keys the injection RNG; the same
-    seed and task
+    [0, 1].  ``seed`` keys the injection RNG; the same seed and task
     always fail the same way.  ``times`` is how many leading attempts
     of an afflicted task fail before it runs clean (so ``retries >=
     times`` masks everything).  ``hang_seconds`` is how long a hang
@@ -106,19 +95,13 @@ class FaultConfig:
     crash: float = 0.0
     hang: float = 0.0
     corrupt: float = 0.0
-    replica_kill: float = 0.0
     seed: int = 0
     times: int = 1
     hang_seconds: float = 30.0
 
     @property
     def any_enabled(self) -> bool:
-        return (
-            self.crash > 0.0
-            or self.hang > 0.0
-            or self.corrupt > 0.0
-            or self.replica_kill > 0.0
-        )
+        return self.crash > 0.0 or self.hang > 0.0 or self.corrupt > 0.0
 
     @classmethod
     def from_spec(cls, spec: str) -> "FaultConfig":
@@ -137,8 +120,7 @@ class FaultConfig:
             key, _, raw = part.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key in ("crash", "hang", "corrupt", "replica_kill",
-                       "hang_seconds"):
+            if key in ("crash", "hang", "corrupt", "hang_seconds"):
                 config = replace(config, **{key: float(raw)})
             elif key in ("seed", "times"):
                 config = replace(config, **{key: int(raw)})

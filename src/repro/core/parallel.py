@@ -221,44 +221,6 @@ def _characterize_task(
     return name, result
 
 
-def _characterize_batch_task(
-    task: Tuple[str, str, Tuple[int, ...], int],
-) -> Tuple[str, List[Tuple[int, bool, Any]]]:
-    """Worker: one lockstep batch — one workload and scale, many seeds.
-
-    ``task`` is ``(name, scale, seeds_tuple, max_instructions)``.  The
-    whole batch runs through :func:`repro.atom.runner.
-    characterize_batch` (the batched execution backend), and the result
-    settles per lane: ``(name, [(seed, ok, payload), ...])`` where a
-    successful lane's payload is its ``CharacterizationResult`` and a
-    failed lane's is an ``"ExcType: message"`` string — so one faulting
-    seed degrades one lane, never its batchmates.
-    """
-    name, scale, seeds, max_instructions = task
-    from repro.atom.runner import characterize_batch
-    from repro.core.runcache import workload_fingerprint
-
-    spec = get_workload(name)
-    program = spec.program()
-    bindings = [spec.dataset(scale, seed) for seed in seeds]
-    outcomes = characterize_batch(
-        program,
-        bindings,
-        max_instructions=max_instructions,
-        workload=name,
-        code_key=workload_fingerprint(name, scale, seeds[0], max_instructions),
-    )
-    settled: List[Tuple[int, bool, Any]] = []
-    for seed, outcome in zip(seeds, outcomes):
-        if isinstance(outcome, CharacterizationResult):
-            settled.append((seed, True, outcome))
-        else:
-            settled.append(
-                (seed, False, f"{type(outcome).__name__}: {outcome}")
-            )
-    return name, settled
-
-
 def _evaluate_task(task: Tuple[str, str, str, int]):
     """Worker: one original-vs-transformed evaluation on one platform."""
     name, platform_key, scale, seed = task
@@ -278,12 +240,6 @@ def describe_task(func: Callable, task: Any) -> str:
         if func is _characterize_task:
             name, scale, seed = task[:3]
             return f"characterize workload={name} scale={scale} seed={seed}"
-        if func is _characterize_batch_task:
-            name, scale, seeds = task[:3]
-            return (
-                f"characterize-batch workload={name} scale={scale} "
-                f"seeds={list(seeds)}"
-            )
         if func is _evaluate_task:
             name, platform_key, scale, seed = task
             return (
@@ -547,8 +503,8 @@ class ParallelRunner:
 
         Each entry reports the worker's pid, whether the process is
         alive, whether a task is in flight, and the age of its last
-        heartbeat — the signals ``/healthz`` exposes so a replica
-        health-checker can see a wedged pool before requests time out.
+        heartbeat — the signals ``/healthz`` exposes so a health
+        checker can see a wedged pool before requests time out.
         Empty when no keep-alive pool is warm (workers are per-map).
         """
         now = time.monotonic()

@@ -29,9 +29,9 @@ payload on every read, so bit rot, truncation, or a torn write is
 counted under the persisted ``quarantined`` counter and the
 ``runcache.quarantined`` metric, and the load degrades to a miss.
 
-The cache directory is safe to **share between processes** — the
-cluster in :mod:`repro.serve.cluster` points every replica at one
-directory so any replica answers any memoized fingerprint.  Writes
+The cache directory is safe to **share between processes** — pool
+workers, a ``repro serve`` process, and CLI runs may all point at one
+directory, and any of them answers any memoized fingerprint.  Writes
 stage into per-writer temp files and publish with one atomic
 ``os.replace`` (fsynced first, so a crash never publishes a torn
 entry); concurrent stores of the same fingerprint are benign because
@@ -365,12 +365,12 @@ class RunCache:
     def store(self, key: str, value: object) -> bool:
         """Atomically persist ``value`` under ``key``; False on failure.
 
-        Safe for concurrent writers sharing one cache directory (the
-        cluster's replicas all point here): each writer stages into its
-        own ``mkstemp`` file, fsyncs it, then publishes with a single
-        ``os.replace`` — so a reader only ever sees either the old
-        complete entry or the new complete entry, never a torn write,
-        and a crash mid-store leaves at worst an orphaned temp file.
+        Safe for concurrent writers sharing one cache directory: each
+        writer stages into its own ``mkstemp`` file, fsyncs it, then
+        publishes with a single ``os.replace`` — so a reader only ever
+        sees either the old complete entry or the new complete entry,
+        never a torn write, and a crash mid-store leaves at worst an
+        orphaned temp file.
         Two processes storing the same fingerprint race benignly: runs
         are deterministic, both envelopes are bit-identical, and the
         last rename wins.

@@ -12,7 +12,6 @@ from repro.exec.backends import (
     make_interpreter,
     resolve_backend,
 )
-from repro.exec.batched import LaneResult, run_batch
 from repro.exec.interpreter import (
     BudgetExceeded,
     Interpreter,
@@ -27,13 +26,11 @@ __all__ = [
     "DEFAULT_BACKEND",
     "Interpreter",
     "InterpreterError",
-    "LaneResult",
     "TraceCollector",
     "TraceEvent",
     "TraceWriter",
     "make_interpreter",
     "replay_trace",
     "resolve_backend",
-    "run_batch",
     "run_program",
 ]

@@ -1,20 +1,13 @@
 """Execution backend selection.
 
-Three interchangeable backends execute a :class:`repro.isa.Program`:
+Two interchangeable backends execute a :class:`repro.isa.Program`:
 
 * ``compiled`` (default) — :class:`repro.exec.compiled.
   CompiledInterpreter`, per-block generated code over a dense register
   file, bit-identical to the switch interpreter;
 * ``switch`` — the reference :class:`repro.exec.interpreter.
-  Interpreter`, a per-instruction opcode dispatch loop;
-* ``batched`` — the lockstep tier (:mod:`repro.exec.batched`): B
-  instances of one program over different datasets execute together,
-  paying the fused-tool work once per batch.  Batching happens where
-  multiple compatible runs meet (:meth:`repro.api.Session.
-  characterize_many` groups requests per workload; :func:`repro.exec.
-  batched.run_batch` is the engine); a *single* interpreter built with
-  this backend name is simply the scalar compiled engine, which every
-  batch lane is bit-identical to anyway.
+  Interpreter`, a per-instruction opcode dispatch loop; the differential
+  matrix compares every compiled observable against it with ``==``.
 
 Selection precedence: an explicit ``backend=`` argument, then the
 ``$REPRO_BACKEND`` environment variable, then :data:`DEFAULT_BACKEND`.
@@ -40,7 +33,7 @@ __all__ = [
 ]
 
 #: Recognised backend names.
-BACKENDS = ("compiled", "switch", "batched")
+BACKENDS = ("compiled", "switch")
 
 #: Used when neither the caller nor ``$REPRO_BACKEND`` chooses.
 DEFAULT_BACKEND = "compiled"
@@ -77,12 +70,6 @@ def make_interpreter(
     lets the compiled backend reuse generated code across value-equal
     ``Program`` objects (parallel workers, repeated Session runs); the
     switch backend ignores it.
-
-    ``batched`` degenerates to the scalar compiled engine here: one
-    interpreter is a batch of one, and every batch lane is bit-identical
-    to a compiled run by contract.  Actual vectorization engages where
-    compatible runs meet — :func:`repro.exec.batched.run_batch` and the
-    grouping in :meth:`repro.api.Session.characterize_many`.
     """
     if resolve_backend(backend) == "switch":
         return Interpreter(program, bindings, max_instructions)

@@ -341,9 +341,12 @@ class _BlockCodegen:
         self._have_pj: Optional[int] = None
         #: Record-mode site locals (``rc0_, rc1_, ...``) in emission
         #: order; flushed as ONE tuple append per block exit so the
-        #: batched leader pays a single RCA call per block, and each
-        #: exit publishes exactly the prefix its path executed.
+        #: recorder pays a single RCA call per block, and each exit
+        #: publishes exactly the prefix its path executed.
         self.rec_sites: List[str] = []
+        #: sids whose ``I<sid>`` instruction constant this block's
+        #: masked-mode events use; only these become block defaults.
+        self.event_sids: List[int] = []
 
     # -- small helpers -----------------------------------------------------
     def slot(self, reg: Reg) -> str:
@@ -375,6 +378,12 @@ class _BlockCodegen:
     def flush_lines(self, indent: int, j: int, instr) -> None:
         for stmt in self.batch.stmts():
             self.line(indent, stmt, j, instr)
+
+    def ev_instr(self, instr) -> str:
+        """The ``I<sid>`` constant a masked-mode TraceEvent carries."""
+        if instr.sid not in self.event_sids:
+            self.event_sids.append(instr.sid)
+        return f"I{instr.sid}"
 
     def rec_name(self) -> str:
         """Allocate the next record-site local."""
@@ -703,7 +712,8 @@ class _BlockCodegen:
             self.batch.load(instr.opcode is _O.FLOAD)
         elif gen.has_sinks("load"):
             self.line(indent,
-                      f"ev = TE(I{sid}, {self.addr_expr(base)}, None, v)",
+                      f"ev = TE({self.ev_instr(instr)}, "
+                      f"{self.addr_expr(base)}, None, v)",
                       j, instr)
             self.line(indent, "for s_ in S_load: s_(ev)", j, instr)
 
@@ -718,7 +728,8 @@ class _BlockCodegen:
             self.batch.store(instr.opcode is _O.FSTORE)
         elif gen.has_sinks("store"):
             addr = "None" if base is None else self.addr_expr(base)
-            self.line(indent, f"ev = TE(I{instr.sid}, {addr}, None)", j, instr)
+            self.line(indent, f"ev = TE({self.ev_instr(instr)}, {addr}, None)",
+                      j, instr)
             self.line(indent, "for s_ in S_store: s_(ev)", j, instr)
 
     def dispatch_step(self, indent: int, instr, j: int,
@@ -729,7 +740,8 @@ class _BlockCodegen:
             self.seq_step_taint(indent, instr, j)
             self.batch.step(instr.is_fp)
         elif gen.has_sinks(kind):
-            self.line(indent, f"ev = TE(I{instr.sid}, None, None)", j, instr)
+            self.line(indent, f"ev = TE({self.ev_instr(instr)}, None, None)",
+                      j, instr)
             self.line(indent, f"for s_ in S_{kind}: s_(ev)", j, instr)
 
     # -- per-instruction emission ------------------------------------------
@@ -759,7 +771,8 @@ class _BlockCodegen:
                 self.line(ind, "if RB: del RB[:]", j, instr)
                 self.batch.step(False)
             elif gen.has_sinks("other"):
-                self.line(ind, f"ev = TE(I{instr.sid}, None, None)", j, instr)
+                self.line(ind, f"ev = TE({self.ev_instr(instr)}, None, None)",
+                          j, instr)
                 self.line(ind, "for s_ in S_other: s_(ev)", j, instr)
             self.ret(ind, gen.block_pos[instr.target], j, instr, irregular)
             return True
@@ -768,7 +781,8 @@ class _BlockCodegen:
                 self.seq_consume(ind, instr, j)
                 self.batch.step(False)
             elif gen.has_sinks("halt"):
-                self.line(ind, f"ev = TE(I{instr.sid}, None, None)", j, instr)
+                self.line(ind, f"ev = TE({self.ev_instr(instr)}, None, None)",
+                          j, instr)
                 self.line(ind, "for s_ in S_halt: s_(ev)", j, instr)
             self.ret(ind, -1, j, instr, irregular)
             return True
@@ -789,13 +803,12 @@ class _BlockCodegen:
             self.line(ind, f"v = {mem}[x]", j, instr)
             self.line(ind, f"{self.slot(instr.dest)} = v", j, instr)
         if gen.record:
+            # The loaded value rides as a second rec site so replay can
+            # synthesize the exact load event stream (value included)
+            # without touching memory.
             self.line(ind, f"{self.rec_name()} = x", j, instr)
-            if gen.record == "trace":
-                # Trace capture: the loaded value rides as a second rec
-                # site so replay can synthesize the exact load event
-                # stream (value included) without touching memory.
-                self.line(ind, f"{self.rec_name()} = {self.slot(instr.dest)}",
-                          j, instr)
+            self.line(ind, f"{self.rec_name()} = {self.slot(instr.dest)}",
+                      j, instr)
         self.mark_defined(instr.dest)
         self.dispatch_load(ind, instr, j, base)
 
@@ -846,31 +859,25 @@ class _BlockCodegen:
             self.line(ind + 1, f"if x >= {length}: {self.oob('store', instr, length)}",
                       j, instr)
             self.line(ind + 1, f"{mem}[x] = {self.slot(value)}", j, instr)
-        rec = self.rec_name() if gen.record else None
-        if rec is not None:
-            # One rec site per CSTORE: the committed index when taken,
-            # None when skipped (replay decodes taken-ness from it).
-            self.line(ind + 1, f"{rec} = x", j, instr)
         if gen.fused:
             self.l1_store(ind + 1, base, j, instr)
             self.defined = inner_defined
-            if rec is not None:
-                self.line(ind, "else:", j, instr)
-                self.line(ind + 1, f"{rec} = None", j, instr)
             self.seq_consume(ind, instr, j)
             self.batch.store(False)  # FCSTORE does not count fp (switch parity)
         elif masked_store:
             self.line(ind + 1, f"a = {self.addr_expr(base)}", j, instr)
             self.line(ind, "else:", j, instr)
             self.line(ind + 1, "a = None", j, instr)
-            if rec is not None:
-                self.line(ind + 1, f"{rec} = None", j, instr)
             self.defined = inner_defined
-            self.line(ind, f"ev = TE(I{instr.sid}, a, None)", j, instr)
+            self.line(ind, f"ev = TE({self.ev_instr(instr)}, a, None)", j, instr)
             self.line(ind, "for s_ in S_store: s_(ev)", j, instr)
         else:
             self.defined = inner_defined
-            if rec is not None:
+            if gen.record:
+                # One rec site per CSTORE: the committed index when
+                # taken, None when skipped (replay decodes taken-ness).
+                rec = self.rec_name()
+                self.line(ind + 1, f"{rec} = x", j, instr)
                 self.line(ind, "else:", j, instr)
                 self.line(ind + 1, f"{rec} = None", j, instr)
 
@@ -890,8 +897,6 @@ class _BlockCodegen:
             pv = self.pj(j)
             self.seq_consume(ind, instr, j)
             self.line(ind, f"tk = {self.slot(cond)} != 0", j, instr)
-            if gen.record:
-                self.line(ind, f"{self.rec_name()} = tk", j, instr)
             if gen.inline_pred:
                 self.inline_predictor(ind, sid, j, instr)
             else:
@@ -922,11 +927,13 @@ class _BlockCodegen:
                 cond_test = f"{self.slot(cond)} != 0"
             if has_branch_sinks:
                 self.line(ind, f"if {cond_test}:", j, instr)
-                self.line(ind + 1, f"ev = TE(I{instr.sid}, None, True)",
+                self.line(ind + 1,
+                          f"ev = TE({self.ev_instr(instr)}, None, True)",
                           j, instr)
                 self.line(ind + 1, "for s_ in S_branch: s_(ev)", j, instr)
                 self.ret(ind + 1, taken_target, j, instr, irregular)
-                self.line(ind, f"ev = TE(I{instr.sid}, None, False)", j, instr)
+                self.line(ind, f"ev = TE({self.ev_instr(instr)}, None, False)",
+                          j, instr)
                 self.line(ind, "for s_ in S_branch: s_(ev)", j, instr)
                 if last:
                     self.ret(ind, fall_target, j, instr, irregular)
@@ -1031,26 +1038,25 @@ class _Generator:
 
     def __init__(self, program: Program, reg_index: Dict[Reg, int],
                  bases: Dict[str, int], lengths: Dict[str, int],
-                 mode: Tuple, record: "bool | str" = False) -> None:
+                 mode: Tuple) -> None:
         self.program = program
         self.reg_index = reg_index
         self.mode = mode
-        #: Record mode (the batched backend's leader lane): the
-        #: generated code appends every memory index and every branch
-        #: direction to ``ns["rec"]`` so follower lanes can replay the
-        #: block and verify convergence (see repro.exec.batched).  The
-        #: ``"trace"`` variant additionally records every loaded value,
-        #: which is what the trace-artifact recorder (repro.trace)
-        #: needs to replay analysis tools without re-executing.
-        self.record = record
+        #: Record mode (a consumer-less run for repro.trace.record):
+        #: the generated code appends every memory index, loaded value
+        #: and branch direction to ``ns["rec"]``, which is what the
+        #: trace artifact needs to replay analysis tools without
+        #: re-executing.
+        self.record = mode[0] == "record"
         self.fused = mode[0] == "fused"
         self.telemetry = self.fused and mode[1]
         self.inline_l1 = self.fused and mode[2]
         self.inline_pred = self.fused and mode[3]
         self.sync_cov = self.fused and mode[4]
         self.sink_kinds = mode[1] if mode[0] == "masked" else frozenset()
-        #: sids whose TraceEvent construction needs an I<sid> constant
-        #: (masked mode binds one per reachable instruction).
+        #: sids whose TraceEvent construction may need an I<sid>
+        #: constant (the factory binds one per reachable instruction;
+        #: each block function takes only those it uses).
         self.event_sids: List[int] = []
         if self.sink_kinds:
             self.event_sids = sorted(
@@ -1108,7 +1114,6 @@ class _Generator:
                 names.append("FC")
         elif self.sink_kinds:
             names += ["TE"]
-            names += [f"I{sid}" for sid in self.event_sids]
             names += [f"S_{k}" for k in EVENT_KINDS if k in self.sink_kinds]
         return "".join(f", {name}={name}" for name in names)
 
@@ -1244,12 +1249,11 @@ class _Generator:
 
 
 def _generate(program: Program, bases: Dict[str, int],
-              lengths: Dict[str, int], mode: Tuple,
-              record: "bool | str" = False) -> CompiledProgram:
+              lengths: Dict[str, int], mode: Tuple) -> CompiledProgram:
     reg_index = _collect_registers(program)
     blocks = program.blocks
     reachable = [_reachable_prefix(b) for b in blocks]
-    gen = _Generator(program, reg_index, bases, lengths, mode, record)
+    gen = _Generator(program, reg_index, bases, lengths, mode)
     defined_in = _definite_assignment(program, reachable, reg_index,
                                       gen.block_pos)
     gen.preamble()
@@ -1264,6 +1268,7 @@ def _generate(program: Program, bases: Dict[str, int],
             ins.opcode is _O.BR for ins in instrs[:-1]
         )
         block_meta.append(-len(instrs) if irregular else len(instrs))
+        header = len(em.lines)
         em.emit(1, f"def b{bi}(c{defaults}):")
         if gen.fused:
             if any(ins.is_load for ins in instrs):
@@ -1272,7 +1277,14 @@ def _generate(program: Program, bases: Dict[str, int],
         if not instrs:
             em.emit(2, f"return {gen.fall_target(bi)}")
             continue
-        _BlockCodegen(gen, bi, defined_in[bi]).emit(instrs, irregular)
+        block = _BlockCodegen(gen, bi, defined_in[bi])
+        block.emit(instrs, irregular)
+        if block.event_sids:
+            # Only the instruction constants this block's events use:
+            # binding every program instruction in every block would
+            # make masked-mode source quadratic in program size.
+            events = "".join(f", I{sid}=I{sid}" for sid in block.event_sids)
+            em.lines[header] = f"    def b{bi}(c{defaults}{events}):"
     gen.epilogue(len(blocks))
 
     source = "\n".join(em.lines) + "\n"
@@ -1324,45 +1336,43 @@ _KEYED_CACHE: Dict[Tuple, CompiledProgram] = {}
 
 def compiled_for(program: Program, bases: Dict[str, int],
                  lengths: Dict[str, int], mode: Tuple,
-                 code_key: Optional[str] = None,
-                 record: "bool | str" = False) -> CompiledProgram:
+                 code_key: Optional[str] = None) -> CompiledProgram:
     """Compiled form of ``program`` for one (array lengths, mode) pair.
 
-    ``record`` selects the recording variant used by the batched
-    backend's leader lane (a separate cache entry: the generated source
-    differs); ``record="trace"`` selects the trace-capture variant that
-    also records loaded values (used by :mod:`repro.trace`).
+    The ``("record",)`` mode is the trace-capture variant used by
+    :mod:`repro.trace` (a separate cache entry: the generated source
+    differs).
     """
     lengths_key = tuple(lengths[name] for name in program.arrays)
-    key = (lengths_key, mode, record)
+    key = (lengths_key, mode)
     if code_key is not None:
-        full = (code_key, lengths_key, mode, record)
+        full = (code_key, lengths_key, mode)
         cp = _KEYED_CACHE.get(full)
         if cp is None:
             cp = _KEYED_CACHE[full] = _for_program(program, bases, lengths,
-                                                   mode, key, record)
+                                                   mode, key)
         return cp
-    return _for_program(program, bases, lengths, mode, key, record)
+    return _for_program(program, bases, lengths, mode, key)
 
 
 def _for_program(program: Program, bases: Dict[str, int],
                  lengths: Dict[str, int], mode: Tuple,
-                 key: Tuple, record: "bool | str" = False) -> CompiledProgram:
+                 key: Tuple) -> CompiledProgram:
     per = _WEAK_CACHE.get(program)
     if per is None:
         per = _WEAK_CACHE[program] = {}
     cp = per.get(key)
     if cp is None:
-        cp = per[key] = _generate(program, bases, lengths, mode, record)
+        cp = per[key] = _generate(program, bases, lengths, mode)
     return cp
 
 
 class _ExecContext:
     """Everything :meth:`CompiledInterpreter._drive` needs for one run.
 
-    Built by :meth:`CompiledInterpreter._prepare`; the batched backend
-    holds one per leader lane and steps the trampoline itself so it can
-    interleave follower replay between blocks.
+    Built by :meth:`CompiledInterpreter._prepare`; the trace recorder
+    (:mod:`repro.trace.record`) steps the trampoline itself so it can
+    note which block ran before each record tuple.
     """
 
     __slots__ = (
@@ -1405,14 +1415,14 @@ class CompiledInterpreter(Interpreter):
         return self._drive(ctx)
 
     def _prepare(self, consumer_list: List[object],
-                 record: "bool | str" = False) -> Optional["_ExecContext"]:
+                 record: bool = False) -> Optional["_ExecContext"]:
         """Mode selection, codegen, and namespace assembly for one run.
 
         Returns the execution context the trampoline (:meth:`_drive`)
         needs, or None for an empty program.  ``record`` builds the
-        recording code variant and attaches the shared ``rec`` list (the
-        batched backend's leader lane drives the context itself,
-        interleaving follower replay between blocks).
+        trace-capture variant of a consumer-less run and attaches the
+        shared ``rec`` list (the trace recorder drives the context
+        itself).
         """
         from repro.atom.sequences import _PendingLoad
         from repro.exec.trace import TraceEvent
@@ -1486,11 +1496,10 @@ class CompiledInterpreter(Interpreter):
             )
         else:
             dispatch_mode = "bare"
-            mode = ("bare",)
+            mode = ("record",) if record else ("bare",)
 
         lengths = {name: len(data) for name, data in self.memory.items()}
-        cp = compiled_for(program, self.bases, lengths, mode, self._code_key,
-                          record=record)
+        cp = compiled_for(program, self.bases, lengths, mode, self._code_key)
 
         # Dense register file seeded from (possibly caller-preset) state.
         reg_get = self.registers.get

@@ -103,7 +103,6 @@ def run_manifest(
     max_instructions: Optional[int] = None,
     timings: Optional[Mapping[str, float]] = None,
     backend: Optional[str] = None,
-    batch: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Manifest for one characterization run of a registered workload.
 
@@ -111,11 +110,8 @@ def run_manifest(
     workload_fingerprint` — identical inputs to the run cache's key, so
     the manifest of a run and the cache entry that stores it always
     carry the same identity.  ``backend`` records the execution engine
-    (resolved from the environment when not given) and ``batch`` the
-    effective lockstep batch size when the batched tier ran this run
-    (``1`` for a degenerate single-lane batch, absent for the scalar
-    backends); the fingerprint deliberately excludes both, since every
-    backend — and every batch lane — is bit-identical.
+    (resolved from the environment when not given); the fingerprint
+    deliberately excludes it, since every backend is bit-identical.
     """
     from repro.core.runcache import workload_fingerprint
     from repro.exec.backends import resolve_backend
@@ -130,8 +126,6 @@ def run_manifest(
         "max_instructions": max_instructions,
         "backend": resolve_backend(backend),
     }
-    if batch is not None:
-        config["batch"] = int(batch)
     return build_manifest(
         kind="characterization",
         fingerprint=workload_fingerprint(name, scale, seed, max_instructions),

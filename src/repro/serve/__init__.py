@@ -17,12 +17,7 @@ from repro.serve.admission import (  # noqa: F401
     QueueFull,
     ServicePolicy,
 )
-from repro.serve.batcher import Batcher, singleflight_key  # noqa: F401
-from repro.serve.cluster import (  # noqa: F401
-    CharacterizationCluster,
-    ClusterSettings,
-    HashRing,
-)
+from repro.serve.batcher import Batcher  # noqa: F401
 from repro.serve.protocol import (  # noqa: F401
     HTTP_STATUS,
     ProtocolError,
@@ -40,10 +35,7 @@ from repro.serve.server import (  # noqa: F401
 __all__ = [
     "AdmissionController",
     "Batcher",
-    "CharacterizationCluster",
     "CharacterizationService",
-    "ClusterSettings",
-    "HashRing",
     "Deadline",
     "HTTP_STATUS",
     "ProtocolError",
@@ -55,5 +47,4 @@ __all__ = [
     "canonical_json",
     "parse_request",
     "serve",
-    "singleflight_key",
 ]

@@ -16,13 +16,7 @@ amortized engine work:
 * **batching** — the dispatch thread lingers ``batch_window_s`` after
   the first pending flight, then folds up to ``max_batch`` distinct
   characterize runs into **one** :meth:`Session.characterize_many`
-  call — one engine map over the warm keep-alive worker pool.  With
-  the ``batched`` execution backend this coalescing goes one level
-  deeper: ``characterize_many`` groups the batch's compatible runs
-  (same workload and scale) into lockstep batches executed by
-  :func:`repro.exec.batched.run_batch`, so a homogeneous sweep of N
-  requests pays the interpretation loop roughly once, not N times —
-  batched execution is the natural engine under this coalescing tier.
+  call — one engine map over the warm keep-alive worker pool.
 
 Deadlines: the tightest remaining request deadline of a batch becomes
 the engine's per-task ``timeout`` for that map (so a doomed task is
@@ -64,7 +58,7 @@ from repro.obs.context import TraceContext, mint_request_id
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController, Deadline, ServicePolicy
 
-__all__ = ["Batcher", "singleflight_key"]
+__all__ = ["Batcher"]
 
 #: Floor for the engine timeout derived from request deadlines, so a
 #: nearly-expired deadline cannot translate into a zero-second task
@@ -73,69 +67,6 @@ _MIN_ENGINE_TIMEOUT = 0.05
 
 #: How many completed runs the /runs/<id> registry remembers.
 _RUNS_CAPACITY = 512
-
-
-def singleflight_key(
-    request: protocol.ServiceRequest,
-    *,
-    fingerprint,
-    default_scale: str,
-    default_eval_scale: str,
-    default_seed: int,
-) -> str:
-    """The single-flight identity of one request — the one keying
-    function shared by every component that must agree on run identity.
-
-    Characterize requests use the run-cache ``workload_fingerprint``
-    verbatim (``fingerprint`` is the caller's — typically memoized —
-    ``(workload, scale, seed) -> fingerprint`` function); evaluate,
-    sweep, and analyze requests get a derived composite key (an analyze
-    key includes the requested tool tuple — the same trace answers
-    different tool sets, but those are different responses and must not
-    share a flight).
-
-    The :class:`Batcher` keys its in-process single-flight registry
-    with this, and the shard router in :mod:`repro.serve.cluster` keys
-    its consistent-hash ring with the *same* function — so a request
-    coalesces inside one replica exactly when the router would have
-    sent its twin to that replica.
-    """
-    scale = (
-        request.scale
-        if request.scale is not None
-        else (
-            default_eval_scale
-            if request.kind == "evaluate"
-            else default_scale
-        )
-    )
-    seed = request.seed if request.seed is not None else default_seed
-    if request.kind == "characterize":
-        return fingerprint(request.workload, scale, seed)
-    if request.kind == "evaluate":
-        platform = request.platform or "alpha"
-        return f"evaluate:{request.workload}:{platform}:{scale}:{seed}"
-    if request.kind == "analyze":
-        return protocol.canonical_json(
-            [
-                "analyze",
-                request.workload,
-                list(request.tools) if request.tools is not None else None,
-                scale,
-                seed,
-            ]
-        )
-    return protocol.canonical_json(
-        [
-            "sweep",
-            request.workload,
-            request.field,
-            list(request.values or ()),
-            request.sweep_kind,
-            scale,
-            seed,
-        ]
-    )
 
 
 class _Waiter:
@@ -305,14 +236,46 @@ class Batcher:
         return future
 
     def _key(self, request: protocol.ServiceRequest) -> str:
-        """Run identity: :func:`singleflight_key` with the session's
-        defaults and (memoized) fingerprint function."""
-        return singleflight_key(
-            request,
-            fingerprint=self._session.fingerprint,
-            default_scale=self._session.scale,
-            default_eval_scale=self._session.config.eval_scale,
-            default_seed=self._session.seed,
+        """Run identity.  Characterize requests use the run-cache
+        fingerprint verbatim; evaluate/sweep/analyze requests get a
+        derived composite key (an analyze key includes the requested
+        tool tuple — the same trace answers different tool sets, but
+        those are different responses and must not share a flight)."""
+        scale = (
+            request.scale
+            if request.scale is not None
+            else (
+                self._session.config.eval_scale
+                if request.kind == "evaluate"
+                else self._session.scale
+            )
+        )
+        seed = request.seed if request.seed is not None else self._session.seed
+        if request.kind == "characterize":
+            return self._session.fingerprint(request.workload, scale, seed)
+        if request.kind == "evaluate":
+            platform = request.platform or "alpha"
+            return f"evaluate:{request.workload}:{platform}:{scale}:{seed}"
+        if request.kind == "analyze":
+            return protocol.canonical_json(
+                [
+                    "analyze",
+                    request.workload,
+                    list(request.tools) if request.tools is not None else None,
+                    scale,
+                    seed,
+                ]
+            )
+        return protocol.canonical_json(
+            [
+                "sweep",
+                request.workload,
+                request.field,
+                list(request.values or ()),
+                request.sweep_kind,
+                scale,
+                seed,
+            ]
         )
 
     # -- dispatch thread -----------------------------------------------------
@@ -373,14 +336,6 @@ class Batcher:
                     )
                     for f in live
                 ]
-                # With the batched backend, compatible specs execute as
-                # one lockstep batch; remember each group's size so the
-                # run record states the effective B it rode in on.
-                groups: Dict[Tuple[str, str], int] = {}
-                if self._session.backend == "batched":
-                    for name, scale, _seed in specs:
-                        group = (name, scale or self._session.scale)
-                        groups[group] = groups.get(group, 0) + 1
                 exec_start = time.monotonic()
                 for flight in live:
                     flight.exec_start = exec_start
@@ -391,12 +346,8 @@ class Batcher:
                 for flight in live:
                     flight.exec_end = exec_end
                 for flight, outcome in zip(live, outcomes):
-                    request = flight.request
-                    batch_n = groups.get(
-                        (request.workload, request.scale or self._session.scale)
-                    )
                     self._finish_characterize(
-                        flight, outcome, batch=batch_n, batch_size=len(live)
+                        flight, outcome, batch_size=len(live)
                     )
             for flight in others:
                 self._run_single(flight)
@@ -487,7 +438,6 @@ class Batcher:
         self,
         flight: _Flight,
         outcome,
-        batch: Optional[int] = None,
         batch_size: Optional[int] = None,
     ) -> None:
         request = flight.request
@@ -511,7 +461,7 @@ class Batcher:
             )
             return
         payload = protocol.characterization_payload(request.workload, outcome)
-        self._record_run(flight.key, request, payload, batch=batch)
+        self._record_run(flight.key, request, payload)
 
         def _respond(waiter: _Waiter) -> Tuple[int, Dict[str, Any]]:
             now = time.monotonic()
@@ -680,7 +630,6 @@ class Batcher:
         key: str,
         request: protocol.ServiceRequest,
         payload: Dict[str, Any],
-        batch: Optional[int] = None,
     ) -> None:
         record = {
             "fingerprint": key,
@@ -692,8 +641,6 @@ class Batcher:
             "digest": payload.get("digest"),
             "completed_unix": time.time(),
         }
-        if batch is not None:
-            record["batch"] = int(batch)
         with self._cond:
             self._runs[key] = record
             self._runs.move_to_end(key)
@@ -715,7 +662,6 @@ class Batcher:
             record["scale"],
             record["seed"],
             backend=self._session.backend,
-            batch=record.get("batch"),
         )
         return dict(record, manifest=manifest)
 

@@ -94,7 +94,6 @@ class CharacterizationService:
         telemetry: bool = True,
         access_log_path: Optional[str] = None,
         flightrec_dir: Optional[str] = None,
-        replica_id: Optional[str] = None,
     ):
         """``telemetry=False`` runs the service with per-request
         instrumentation off — no metrics registry, no access log, no
@@ -102,14 +101,8 @@ class CharacterizationService:
         benchmark compares against.  ``access_log_path`` additionally
         appends JSONL records for ``repro obs tail``; ``flightrec_dir``
         enables incident dumps (the in-memory event ring is on whenever
-        telemetry is).  ``replica_id`` names this process's shard when
-        it runs as one replica of a :mod:`repro.serve.cluster` — it is
-        added as a ``replica=`` label on the ``serve.requests`` /
-        ``serve.stage_ms`` series (so the router's aggregated
-        ``/metrics`` keeps per-replica resolution), reported by
-        ``/healthz``, and stamped into access-log records."""
+        telemetry is)."""
         self.telemetry = bool(telemetry)
-        self.replica_id = replica_id or None
         self.access_log: Optional[AccessLog] = None
         self._owns_flightrec = False
         if self.telemetry:
@@ -222,9 +215,6 @@ class CharacterizationService:
         if cached_registry is not registry:
             counters, stage_hists = {}, {}
             self._handle_cache = (registry, counters, stage_hists)
-        shard_labels = (
-            {"replica": self.replica_id} if self.replica_id else {}
-        )
         counter_key = (workload, outcome)
         counter = counters.get(counter_key)
         if counter is None:
@@ -233,7 +223,6 @@ class CharacterizationService:
                 workload=workload,
                 backend=self.session.backend,
                 outcome=outcome,
-                **shard_labels,
             )
         counter.inc()
         stages = obs_fields.get("stages_ms") or {}
@@ -241,7 +230,7 @@ class CharacterizationService:
             hist = stage_hists.get(stage)
             if hist is None:
                 hist = stage_hists[stage] = registry.histogram(
-                    "serve.stage_ms", stage=stage, **shard_labels
+                    "serve.stage_ms", stage=stage
                 )
             hist.observe(value)
         record: Dict[str, Any] = {
@@ -258,8 +247,6 @@ class CharacterizationService:
         for optional in ("batch_size", "coalesced_into"):
             if optional in obs_fields:
                 record[optional] = obs_fields[optional]
-        if self.replica_id:
-            record["replica"] = self.replica_id
         if self.access_log is not None:
             self.access_log.log(**record)
         if status >= 500:
@@ -288,7 +275,6 @@ class CharacterizationService:
                 "jobs": self.session.jobs,
                 "backend": self.session.backend,
                 "scale": self.session.scale,
-                "replica": self.replica_id,
                 "telemetry": self.telemetry,
                 "workers": getattr(
                     self.session, "pool_liveness", lambda: []
@@ -546,24 +532,25 @@ def main_loop(
 ) -> None:
     """Blocking entry point for ``repro serve``.
 
-    SIGTERM shuts down like Ctrl-C so ``service.close()`` always runs:
-    buffered access-log records are flushed, the flight recorder is
-    detached, and the worker pool is torn down.
+    SIGTERM shuts down like Ctrl-C: an event-loop signal handler
+    cancels the serving task, so shutdown begins at a loop boundary
+    rather than wherever the main thread happened to be.  Leaving
+    :func:`asyncio.run` waits for engine calls still running in the
+    executor (their access-log records land), then ``service.close()``
+    flushes the access log, detaches the flight recorder, and tears
+    down the worker pool.
     """
     import signal
 
-    def _on_sigterm(_signum, _frame):
-        raise KeyboardInterrupt
+    async def _serve_until_sigterm() -> None:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
+        await serve(service, host, port)
 
     try:
-        previous = signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:  # not the main thread (tests drive serve() directly)
-        previous = None
-    try:
-        asyncio.run(serve(service, host, port))
-    except KeyboardInterrupt:
+        asyncio.run(_serve_until_sigterm())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
         service.close()

@@ -9,7 +9,7 @@ near-arithmetic sequence, so delta encoding followed by zlib collapses
 it, and branch outcome columns are one byte per execution before
 compression.
 
-Site layout mirrors the compiled backend's ``record="trace"`` codegen
+Site layout mirrors the compiled backend's record-mode codegen
 (:mod:`repro.exec.compiled`) exactly, in emission order over each
 block's reachable prefix:
 
@@ -82,7 +82,7 @@ def site_layout(program) -> List[List[Tuple[int, str]]]:
     """Per-block record-site layout: ``[(sid, kind), ...]`` per block.
 
     Emission order over the reachable prefix, one entry per rec site
-    the ``record="trace"`` codegen allocates (loads allocate two).
+    the record-mode codegen allocates (loads allocate two).
     """
     layout: List[List[Tuple[int, str]]] = []
     for block in program.blocks:

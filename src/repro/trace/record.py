@@ -1,11 +1,10 @@
 """Trace recording: one instrumented compiled execution -> artifact.
 
-Reuses the compiled backend's leader record machinery (the same
-``rec``-list codegen the batched backend's leader lane drives, in its
-``record="trace"`` variant that also captures loaded values) and steps
-the block trampoline itself so it can note *which* block ran before
-each record tuple.  Recording runs the program exactly once at
-compiled-backend speed plus the per-site appends.
+Runs the compiled backend's record mode (generated code that appends
+every memory index, loaded value and branch direction to a ``rec``
+list) and steps the block trampoline itself so it can note *which*
+block ran before each record tuple.  Recording runs the program
+exactly once at compiled-backend speed plus the per-site appends.
 
 Recording is strictly best-effort: a run that could cross the
 instruction budget mid-block, or that raises, abandons the recording
@@ -52,7 +51,7 @@ def record_trace(
         program, bindings, max_instructions, code_key=code_key
     )
     with obs.span("trace.record", workload=workload) as span:
-        ctx = interp._prepare([], record="trace")
+        ctx = interp._prepare([], record=True)
         if ctx is None:
             # Empty program: zero blocks ran, trivially replayable.
             span.set_attr(instructions=0)

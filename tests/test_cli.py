@@ -160,3 +160,24 @@ def test_bench_compare_pass_and_fail(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "REGRESSION" in out
     assert "FAIL: perf gate tripped by: t" in out
+
+
+def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
+    """The deleted ``batched`` backend and cluster flags are errors
+    naming the value, never a silent fallback to another engine."""
+    from repro.api import Session
+    from repro.exec.backends import resolve_backend
+
+    with pytest.raises(ValueError, match="'batched'"):
+        resolve_backend("batched")
+    with pytest.raises(ValueError, match="'batched'"):
+        Session(backend="batched", cache=False)
+    monkeypatch.setenv("REPRO_BACKEND", "batched")
+    with pytest.raises(ValueError, match="'batched'"):
+        Session(cache=False)
+    monkeypatch.delenv("REPRO_BACKEND")
+
+    with pytest.raises(SystemExit) as info:
+        main(["serve", "--replicas", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --replicas 2" in capsys.readouterr().err

@@ -28,6 +28,8 @@ def test_from_spec_rejects_unknown_keys():
         F.FaultConfig.from_spec("crsh=0.2")
     with pytest.raises(ValueError):
         F.FaultConfig.from_spec("crash")
+    with pytest.raises(ValueError):
+        F.FaultConfig.from_spec("replica_kill=0.3")
 
 
 def test_decisions_are_deterministic():

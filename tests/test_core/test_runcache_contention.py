@@ -1,11 +1,11 @@
 """Multi-process contention over one shared run-cache directory.
 
-The cluster points every replica at a single cache directory, so the
-store/load path must stay correct when several processes hammer the
-same keys at once: concurrent stores of the same fingerprint are
-benign (runs are deterministic, payloads bit-identical, last rename
-wins), a reader never observes a torn entry, and nothing valid ever
-lands in quarantine.
+Pool workers, a ``repro serve`` process and CLI runs can all point at
+one cache directory, so the store/load path must stay correct when
+several processes hammer the same keys at once: concurrent stores of
+the same fingerprint are benign (runs are deterministic, payloads
+bit-identical, last rename wins), a reader never observes a torn
+entry, and nothing valid ever lands in quarantine.
 """
 
 from __future__ import annotations

@@ -251,8 +251,7 @@ REQUIRED_ANCHORS = {
                   "docs/service.md", "FailedCell"],
     os.path.join("docs", "architecture.md"): [
         "repro.api.Session", "workload_fingerprint", "/runs/",
-        "characterize_many", "429 queue_full", "repro.serve.cluster",
-        "shared run cache", "bench_cluster_throughput",
+        "characterize_many", "429 queue_full", "shared run cache",
     ],
     os.path.join("docs", "service.md"): [
         "--max-queue", "--max-batch", "--batch-window", "--deadline",
@@ -261,8 +260,6 @@ REQUIRED_ANCHORS = {
         "ServiceClient", "retry_after_s", "serve.singleflight_hits",
         "X-Repro-Request-Id", "--access-log", "--flightrec-dir",
         "--no-telemetry", "format=prometheus", "coalesced_into",
-        "--replicas", "--replica-base-port", "--queue-parks",
-        "replica_kill", "cluster.queue_parks", "--min-cluster-scaling",
     ],
     os.path.join("docs", "robustness.md"): ["--faults", "FailedCell"],
     os.path.join("docs", "performance.md"): ["--backend"],

@@ -1,16 +1,12 @@
-"""Differential matrix: every backend must be bit-identical to switch.
+"""Differential matrix: the compiled backend must be bit-identical to switch.
 
 The compiled backend (``repro.exec.compiled``) is a from-scratch code
-generator and the batched backend (``repro.exec.batched``) a lockstep
-tier on top of it; these tests are the proof obligation that both are
-*exact* semantic clones of the reference switch interpreter.  Every
-registered workload runs on all three engines and every observable —
-tool snapshots, scalar/array state, executed counts, telemetry
-counters, error strings, budget-abort points — must match to the bit,
-serially, through the process-parallel session path, and through
-:func:`repro.exec.batched.run_batch` at batch sizes 1/2/8 including
-deliberately divergent batches (different datasets, an OOB fault in
-one lane while the rest complete, a mid-block budget abort).
+generator; these tests are the proof obligation that it is an *exact*
+semantic clone of the reference switch interpreter.  Every registered
+workload runs on both engines and every observable — tool snapshots,
+scalar/array state, executed counts, telemetry counters, error
+strings, budget-abort points — must match to the bit, serially and
+through the process-parallel session path.
 """
 
 import pytest
@@ -23,12 +19,11 @@ from repro.exec import (
     InterpreterError,
     TraceCollector,
     make_interpreter,
-    run_batch,
 )
 from repro.lang import CompilerOptions, compile_source
 from repro.workloads import all_workloads, spec_workloads
 
-BACKENDS = ("switch", "compiled", "batched")
+BACKENDS = ("switch", "compiled")
 SCALE = "test"
 
 WORKLOADS = [spec.name for spec in all_workloads() + spec_workloads()]
@@ -104,6 +99,50 @@ def test_serial_masked_bit_identical(name):
                 (e.instr.sid, e.addr, e.taken, e.value) for e in collector
             ],
         }
+    assert_all_equal(streams)
+
+
+def test_masked_blocks_bind_only_their_own_instructions():
+    """Masked-mode codegen stays linear in program size: each block
+    function takes as defaults only the ``I<sid>`` constants of its own
+    events, never one per instruction of the whole program (which made
+    the generated source for gcc ~93 MB)."""
+    import re
+
+    source = """
+    int a[];
+    int out[];
+    void kernel() {
+        int i;
+        int s;
+        i = 0;
+        s = 0;
+        while (i < 8) {
+            if (a[i] > 2) { s = s + a[i]; } else { s = s - 1; }
+            if (s > 10) { out[0] = s; }
+            i = i + 1;
+        }
+        out[1] = s;
+    }
+    """
+    program = compile_source(source, "t", O0)
+    bindings = {"a": list(range(8)), "out": [0, 0]}
+    interp = make_interpreter(program, bindings, backend="compiled")
+    generated = interp._prepare([TraceCollector()]).cp.source
+    headers = re.findall(r"def b(\d+)\((.*)\):", generated)
+    assert len(headers) == len(program.blocks) >= 6
+    for bi, params in headers:
+        bound = re.findall(r"\bI\d+=", params)
+        assert len(bound) <= len(program.blocks[int(bi)].instructions), bi
+    streams = {}
+    for backend in BACKENDS:
+        collector = TraceCollector()
+        make_interpreter(program, dict(bindings), backend=backend).run(
+            consumers=(collector,)
+        )
+        streams[backend] = [
+            (e.instr.sid, e.addr, e.taken, e.value) for e in collector
+        ]
     assert_all_equal(streams)
 
 
@@ -283,215 +322,3 @@ def test_oob_abort_state_parity():
         }
     assert_all_equal(outcomes)
     assert "out of bounds" in outcomes["compiled"]["message"]
-
-
-# -- batched lockstep execution (run_batch) --------------------------------
-
-
-def scalar_reference(name, seed, max_instructions=None):
-    """One compiled scalar run: (state, error-string-or-None)."""
-    from repro.workloads import get_workload
-
-    spec = get_workload(name)
-    tools = standard_tools()
-    kwargs = {}
-    if max_instructions is not None:
-        kwargs["max_instructions"] = max_instructions
-    interp = make_interpreter(
-        spec.program(), spec.dataset(SCALE, seed), backend="compiled", **kwargs
-    )
-    error = None
-    try:
-        interp.run(consumers=tools)
-    except Exception as exc:  # noqa: BLE001 - compared verbatim below
-        error = f"{type(exc).__name__}: {exc}"
-    return observable_state(interp, tools), error
-
-
-def lane_observation(lane):
-    """A LaneResult as (state, error-string-or-None)."""
-    error = None
-    if lane.error is not None:
-        error = f"{type(lane.error).__name__}: {lane.error}"
-    return observable_state(lane.interp, lane.consumers), error
-
-
-def batch_workload(name, seeds, max_instructions=None):
-    from repro.workloads import get_workload
-
-    spec = get_workload(name)
-    kwargs = {}
-    if max_instructions is not None:
-        kwargs["max_instructions"] = max_instructions
-    return run_batch(
-        spec.program(),
-        [spec.dataset(SCALE, seed) for seed in seeds],
-        consumers_factory=standard_tools,
-        **kwargs,
-    )
-
-
-@pytest.mark.parametrize("batch", [1, 2, 8])
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_run_batch_bit_identical(name, batch):
-    """Every lane of a homogeneous batch equals its scalar run exactly,
-    at the degenerate (B=1), minimal (B=2), and sweep (B=8) sizes."""
-    reference = scalar_reference(name, 0)
-    lanes = batch_workload(name, [0] * batch)
-    assert len(lanes) == batch
-    for lane in lanes:
-        assert lane_observation(lane) == reference
-
-
-def test_run_batch_lockstep_engages():
-    """The fast path is actually exercised: a homogeneous 8-lane batch
-    keeps every follower in lockstep (no silent scalar fallback)."""
-    lanes = batch_workload("promlk", [0] * 8)
-    assert [lane.lockstep for lane in lanes[1:]] == [True] * 7
-
-
-@pytest.mark.parametrize("name", ["promlk", "hmmsearch", "fasta"])
-def test_run_batch_divergent_datasets(name):
-    """Lanes over different datasets: each still equals its own scalar
-    run, whether it stayed in lockstep or peeled off."""
-    seeds = [0, 1, 2, 3]
-    lanes = batch_workload(name, seeds)
-    for seed, lane in zip(seeds, lanes):
-        assert lane_observation(lane) == scalar_reference(name, seed)
-
-
-def test_run_batch_oob_lane_while_others_complete():
-    """An out-of-bounds fault in one lane aborts that lane exactly where
-    its scalar run would, while its batchmates run to completion."""
-    source = """
-    int n; int a[]; int out[];
-    void kernel() {
-        int i;
-        i = 0;
-        while (i < n) {
-            out[i] = a[i] + 1;
-            i = i + 1;
-        }
-    }
-    """
-    program = compile_source(source, "t", O0)
-    bindings = [
-        {"n": 4, "a": [3] * 8, "out": [0] * 8},
-        {"n": 12, "a": [3] * 8, "out": [0] * 8},  # faults at i == 8
-        {"n": 8, "a": [5] * 8, "out": [0] * 8},
-    ]
-    lanes = run_batch(program, bindings, consumers_factory=standard_tools)
-    references = []
-    for binding in bindings:
-        tools = standard_tools()
-        interp = make_interpreter(
-            compile_source(source, "t", O0),
-            {k: list(v) if isinstance(v, list) else v for k, v in binding.items()},
-            backend="compiled",
-        )
-        error = None
-        try:
-            interp.run(consumers=tools)
-        except InterpreterError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        references.append((observable_state(interp, tools), error))
-    assert [lane_observation(lane) for lane in lanes] == references
-    assert lanes[0].error is None and lanes[2].error is None
-    assert "out of bounds" in str(lanes[1].error)
-
-
-@pytest.mark.parametrize("budget", [1, 2, 777, 12345])
-def test_run_batch_budget_parity(budget):
-    """A budget crossing mid-batch aborts every lane on the same
-    instruction, with the same message and partial state, as scalar
-    runs (budgets land both on block boundaries and mid-block)."""
-    reference = scalar_reference("hmmsearch", 0, max_instructions=budget)
-    assert reference[1] is not None and "BudgetExceeded" in reference[1]
-    lanes = batch_workload("hmmsearch", [0] * 3, max_instructions=budget)
-    for lane in lanes:
-        assert lane_observation(lane) == reference
-
-
-def test_run_batch_masked_collector_fallback():
-    """A non-standard tool set (TraceCollector) is ineligible for
-    lockstep: every lane falls back to scalar with identical event
-    streams, so correctness never depends on eligibility."""
-    from repro.workloads import get_workload
-
-    spec = get_workload("hmmsearch")
-
-    def masked_tools():
-        return (InstructionMix(), TraceCollector())
-
-    lanes = run_batch(
-        spec.program(),
-        [spec.dataset(SCALE, 0) for _ in range(2)],
-        consumers_factory=masked_tools,
-    )
-    assert [lane.lockstep for lane in lanes] == [False, False]
-    mix, collector = standard = masked_tools()
-    interp = make_interpreter(
-        spec.program(), spec.dataset(SCALE, 0), backend="compiled"
-    )
-    interp.run(consumers=standard)
-    reference_events = [
-        (e.instr.sid, e.addr, e.taken, e.value) for e in collector
-    ]
-    for lane in lanes:
-        assert lane.error is None
-        lane_mix, lane_collector = lane.consumers
-        assert lane_mix.snapshot() == mix.snapshot()
-        events = [
-            (e.instr.sid, e.addr, e.taken, e.value) for e in lane_collector
-        ]
-        assert events == reference_events
-
-
-def test_run_batch_telemetry_counter_parity():
-    """A converged 4-lane batch books the same interp.* counters as
-    four scalar runs (per-lane flushes, not one shared flush)."""
-    obs.enable()
-    try:
-        batch_workload("promlk", [0] * 4)
-        batched = {
-            k: v
-            for k, v in obs.metrics().snapshot().items()
-            if k.startswith("interp.")
-        }
-    finally:
-        obs.disable()
-    obs.enable()
-    try:
-        for _ in range(4):
-            run_workload("promlk", "compiled")
-        scalar = {
-            k: v
-            for k, v in obs.metrics().snapshot().items()
-            if k.startswith("interp.")
-        }
-    finally:
-        obs.disable()
-    assert batched == scalar
-
-
-def test_session_batched_characterize_many():
-    """The batched session groups compatible requests into lockstep
-    batches; results stay bit-identical to the compiled session."""
-    specs = [("promlk", None, seed) for seed in range(4)] + [
-        ("hmmsearch", None, 0),
-        ("hmmsearch", None, 1),
-    ]
-    snapshots = {}
-    for backend in ("compiled", "batched"):
-        session = Session(RunConfig(scale=SCALE, cache=False, backend=backend))
-        snapshots[backend] = [
-            {
-                "executed": run.executed,
-                "mix": run.mix.snapshot(),
-                "coverage": run.coverage.snapshot(),
-                "cache": run.cache.snapshot(),
-                "sequences": run.sequences.snapshot(),
-            }
-            for run in session.characterize_many(specs)
-        ]
-    assert snapshots["batched"] == snapshots["compiled"]

@@ -4,9 +4,7 @@ Covers the PR's acceptance path: a request ID minted (or honored) at
 the door is echoed in every envelope, logged with per-stage timings,
 carried by every span the request causes — including spans captured in
 pool worker processes and adopted across the process boundary — and,
-when something 5xxes, lands in a flight-recorder incident dump.  The
-batched lockstep backend's fault telemetry (lane peels, abandoned
-batches) and its no-leakage invariant ride along.
+when something 5xxes, lands in a flight-recorder incident dump.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-
-import pytest
 
 from repro import obs
 from repro.api import RunConfig
@@ -426,174 +422,3 @@ class TestHttpDoorObservability:
             r for r in records if r.attrs.get("request_id") == "req-wire-777"
         ]
         assert tagged, "no span carried the wire request ID"
-
-
-class TestBatchedBackendTelemetry:
-    """Cross-process telemetry under ``--backend batched`` + ``jobs=2``."""
-
-    def test_adopted_spans_carry_request_ids_under_batched(self):
-        tracing.enable()
-        svc = _service(
-            config=RunConfig(
-                scale="test",
-                jobs=2,
-                cache=False,
-                keep_workers=True,
-                backend="batched",
-            ),
-            policy=ServicePolicy(batch_window_s=0.1),
-        )
-        try:
-            client = ServiceClient(svc)
-            results = _batched_pair(
-                client,
-                ("fasta", "promlk"),
-                ("req-batched-1", "req-batched-2"),
-            )
-            assert {status for status, _ in results.values()} == {200}
-            records = obs.get_tracer().drain()
-        finally:
-            svc.close()
-            tracing.disable()
-        foreign_tagged = [
-            r
-            for r in records
-            if r.pid != os.getpid()
-            and r.attrs.get("request_id") == "req-batched-1"
-        ]
-        assert foreign_tagged, (
-            "batched-backend worker spans did not carry the request ID"
-        )
-
-    def test_lane_peel_emits_counter_and_event(self):
-        from repro.exec import run_batch
-        from repro.lang import CompilerOptions, compile_source
-
-        source = """
-        int n; int a[]; int out[];
-        void kernel() {
-            int i;
-            i = 0;
-            while (i < n) {
-                out[i] = a[i] + 1;
-                i = i + 1;
-            }
-        }
-        """
-        program = compile_source(source, "t", CompilerOptions(opt_level=0))
-        bindings = [
-            {"n": 8, "a": [3] * 8, "out": [0] * 8},
-            {"n": 4, "a": [3] * 8, "out": [0] * 8},  # diverges: peels
-            {"n": 8, "a": [5] * 8, "out": [0] * 8},
-        ]
-        recorder = flightrec.enable()
-        obs.enable()
-        try:
-            run_batch(program, bindings)
-            peels = obs.metrics().snapshot().get("batched.lane_peels", 0)
-            events = [
-                e for e in recorder.events() if e["event"] == "lane_peel"
-            ]
-        finally:
-            obs.disable()
-            flightrec.disable()
-        assert peels >= 1
-        assert events, "no lane_peel event reached the flight recorder"
-        assert all("lane" in e and "block" in e for e in events)
-
-    def test_leader_fault_abandons_with_event(self):
-        from repro.exec import run_batch
-        from repro.lang import CompilerOptions, compile_source
-
-        source = """
-        int n; int a[]; int out[];
-        void kernel() {
-            int i;
-            i = 0;
-            while (i < n) {
-                out[i] = a[i] + 1;
-                i = i + 1;
-            }
-        }
-        """
-        program = compile_source(source, "t", CompilerOptions(opt_level=0))
-        bindings = [
-            {"n": 12, "a": [3] * 8, "out": [0] * 8},  # leader faults OOB
-            {"n": 12, "a": [3] * 8, "out": [0] * 8},
-        ]
-        recorder = flightrec.enable()
-        obs.enable()
-        try:
-            lanes = run_batch(program, bindings)
-            abandoned = obs.metrics().snapshot().get("batched.abandoned", 0)
-            events = [
-                e
-                for e in recorder.events()
-                if e["event"] == "batch_abandoned"
-                and e["reason"] == "leader_fault"
-            ]
-        finally:
-            obs.disable()
-            flightrec.disable()
-        assert all("out of bounds" in str(lane.error) for lane in lanes)
-        assert abandoned >= 1
-        assert events, "leader fault did not record a batch_abandoned event"
-
-    def test_abandoned_batch_leaks_no_interp_counters(self):
-        """The abandoned lockstep attempt publishes nothing: interp.*
-        counters after a budget-abandoned batch equal the sum of its
-        per-lane scalar reference runs exactly."""
-        from repro.exec import InterpreterError, make_interpreter, run_batch
-        from repro.lang import CompilerOptions, compile_source
-
-        source = """
-        int n; int a[]; int out[];
-        void kernel() {
-            int i;
-            i = 0;
-            while (i < n) {
-                out[i] = a[i] + 1;
-                i = i + 1;
-            }
-        }
-        """
-        program = compile_source(source, "t", CompilerOptions(opt_level=0))
-
-        def bindings():
-            return [
-                {"n": 8, "a": [3] * 8, "out": [0] * 8} for _ in range(3)
-            ]
-
-        budget = 10  # crosses mid-run: the lockstep attempt is abandoned
-
-        def interp_counters():
-            return {
-                key: value
-                for key, value in obs.metrics().snapshot().items()
-                if key.startswith("interp.")
-            }
-
-        obs.enable()
-        try:
-            run_batch(program, bindings(), max_instructions=budget)
-            batched = interp_counters()
-        finally:
-            obs.disable()
-
-        obs.enable()
-        try:
-            for binding in bindings():
-                interp = make_interpreter(
-                    program,
-                    binding,
-                    backend="switch",
-                    max_instructions=budget,
-                )
-                with pytest.raises(InterpreterError):
-                    interp.run()
-            scalar = interp_counters()
-        finally:
-            obs.disable()
-
-        assert batched, "budget run recorded no interp.* counters"
-        assert batched == scalar
