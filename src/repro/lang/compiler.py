@@ -8,12 +8,15 @@ optimizing compiler:
 1. constant folding + local copy propagation,
 2. local common-subexpression / redundant-load elimination
    (alias-model aware),
-3. global load hoisting into dominators (alias-model gated — this is
+3. dead-code elimination and CFG cleanup,
+4. loop unrolling (when ``unroll_factor`` > 1),
+5. global load hoisting into dominators (alias-model gated — this is
    the pass that the paper shows being defeated by intervening stores),
-4. if-conversion to conditional moves (store-free THEN paths only),
-5. within-block list scheduling (loads early),
-6. dead-code elimination,
-7. linear-scan register allocation (when a register budget is given).
+6. if-conversion to conditional moves (store-free THEN paths only),
+7. speculative store-to-load forwarding (with store predication),
+8. dead-code elimination again,
+9. linear-scan register allocation (when a register budget is given),
+10. within-block list scheduling (loads early), after allocation.
 """
 
 from __future__ import annotations

@@ -95,55 +95,79 @@ def run(program: Program, allow_store_predication: bool = False) -> int:
     a store in the THEN path becomes a *predicated* store instead of
     blocking the conversion — reproducing why icc's baseline keeps far
     fewer branches than the Alpha/x86 baselines (Section 5.1).
+
+    One scan in layout order, with the analyses computed once.  Each
+    conversion adjusts the use counts by the reads it removes and
+    inserts; liveness needs no update, because a conversion leaves
+    every surviving block's live-in set as it was.  The block before B
+    is the only earlier block whose candidacy a conversion can change,
+    so the scan resumes there.
     """
-    conversions = 0
+    program.finalize()
+    uses = use_counts(program)
+    live_in, _ = liveness(program)
     fresh = _fresh_reg_allocator(program)
-    while True:
-        program.finalize()
-        uses = use_counts(program)
-        live_in, _ = liveness(program)
-        converted = _convert_one(
-            program, fresh, uses, live_in, allow_store_predication
-        )
-        if not converted:
-            break
+    blocks = list(program.blocks)
+    conversions = 0
+    position = 0
+    while position + 1 < len(blocks):
+        block, then_block = blocks[position], blocks[position + 1]
+        if not _is_candidate(block, then_block, allow_store_predication):
+            position += 1
+            continue
+        following = blocks[position + 2] if position + 2 < len(blocks) else None
+        _convert(program, block, then_block, following, uses, live_in, fresh)
+        del blocks[position + 1]
         conversions += 1
+        position = max(position - 1, 0)
+    program.replace_blocks(blocks)
     return conversions
 
 
-def _convert_one(
+def _is_candidate(
+    block: BasicBlock, then_block: BasicBlock, allow_stores: bool
+) -> bool:
+    terminator = block.terminator
+    if terminator is None or terminator.opcode is not Opcode.BR:
+        return False
+    return (
+        then_block.name != terminator.target
+        and then_block.predecessors == [block.name]
+        and then_block.successors == [terminator.target]
+        and _convertible(then_block, allow_stores)
+    )
+
+
+def _convert(
     program: Program,
-    fresh,
+    block: BasicBlock,
+    then_block: BasicBlock,
+    following: Optional[BasicBlock],
     uses: Dict[Reg, int],
     live_in: Dict[str, Set[Reg]],
-    allow_stores: bool,
-) -> bool:
-    for block in program.blocks:
-        terminator = block.terminator
-        if terminator is None or terminator.opcode is not Opcode.BR:
-            continue
-        then_block = program.next_block(block.name)
-        if then_block is None or then_block.name == terminator.target:
-            continue
-        skip_name = terminator.target
-        if then_block.predecessors != [block.name]:
-            continue
-        if then_block.successors != [skip_name]:
-            continue
-        if not _convertible(then_block, allow_stores):
-            continue
-        flag = terminator.srcs[0]
-        condition = _true_condition(block, flag, uses, fresh)
-        if condition is None:
-            continue
-        _apply(program, block, then_block, skip_name, condition, fresh, live_in)
-        return True
-    return False
+    fresh,
+) -> None:
+    """Fold ``then_block`` into ``block``; keeps ``uses`` and the CFG
+    edges current (the layout is the caller's)."""
+    branch = block.terminator
+    skip_name = branch.target
+    removed = [branch, *then_block.instructions]
+    body_length = len(block.instructions) - 1
+    condition = _true_condition(block, branch.srcs[0], uses, fresh)
+    _apply(block, then_block, following, condition, fresh, live_in[skip_name])
+    for instruction in removed:
+        for reg in instruction.reads():
+            uses[reg] -= 1
+    for instruction in block.instructions[body_length:]:
+        for reg in instruction.reads():
+            uses[reg] += 1
+    block.successors = [skip_name]
+    program.block(skip_name).predecessors.remove(then_block.name)
 
 
 def _true_condition(
     block: BasicBlock, flag: Reg, uses: Dict[Reg, int], fresh
-) -> Optional[Reg]:
+) -> Reg:
     """Produce a register that is 1 when the THEN path should execute.
 
     The branch tests "condition false", so we need the inverse of its
@@ -174,15 +198,15 @@ def _true_condition(
 
 
 def _apply(
-    program: Program,
     block: BasicBlock,
     then_block: BasicBlock,
-    skip_name: str,
+    following: Optional[BasicBlock],
     condition: Reg,
     fresh,
-    live_in: Dict[str, Set[Reg]],
+    live: Set[Reg],
 ) -> None:
     branch = block.instructions.pop()  # the BR
+    skip_name = branch.target
     rename: Dict[Reg, Reg] = {}
     final_name: Dict[Reg, Reg] = {}
     converted: List[Instruction] = []
@@ -217,7 +241,6 @@ def _apply(
             )
         )
     block.instructions.extend(converted)
-    live = live_in.get(skip_name, set())
     for original, renamed in final_name.items():
         if original not in live:
             continue
@@ -231,9 +254,7 @@ def _apply(
             )
         )
     # Fall through (or jump) to the join block, bypassing T entirely.
-    following = program.next_block(then_block.name)
     if following is None or following.name != skip_name:
         block.instructions.append(
             Instruction(Opcode.JMP, target=skip_name, line=branch.line)
         )
-    program.replace_blocks([b for b in program.blocks if b.name != then_block.name])

@@ -13,7 +13,7 @@ Three cooperating cleanups, iterated to a fixed point:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import BasicBlock, Program
@@ -47,33 +47,63 @@ def _merge_straightline(program: Program) -> int:
     predecessor is B.  This grows basic blocks across unconditional
     control flow (a light-weight stand-in for trace formation), which
     gives the local scheduler room to interleave independent work —
-    the effect the paper's transformed code relies on."""
+    the effect the paper's transformed code relies on.
+
+    S must keep its fall-through target: it is B's layout successor or
+    ends in ``JMP``/``HALT``.  One forward scan, with the CFG edges
+    patched in place: a block keeps absorbing its successor while the
+    pair qualifies.  A merge can make an earlier block qualify only
+    where that rule had turned the earlier pair down.
+    """
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for block in program.blocks:
-            if len(block.successors) != 1:
-                continue
-            succ_name = block.successors[0]
-            if succ_name == block.name or succ_name == program.entry.name:
-                continue
-            successor = program.block(succ_name)
-            if successor.predecessors != [block.name]:
-                continue
-            terminator = block.terminator
-            if terminator is not None:
-                if terminator.opcode is not Opcode.JMP:
-                    continue
-                block.instructions.pop()
-                removed += 1
-            block.instructions.extend(successor.instructions)
-            program.replace_blocks(
-                [b for b in program.blocks if b.name != succ_name]
-            )
-            changed = True
-            break
+    blocks = list(program.blocks)
+    position = 0
+    while position < len(blocks):
+        block = blocks[position]
+        successor = _absorbable(program, blocks, position)
+        if successor is None:
+            position += 1
+            continue
+        if block.terminator is not None:
+            block.instructions.pop()
+            removed += 1
+        block.instructions.extend(successor.instructions)
+        block.successors = successor.successors
+        for name in set(successor.successors):
+            predecessors = program.block(name).predecessors
+            predecessors[:] = [
+                block.name if pred == successor.name else pred for pred in predecessors
+            ]
+        index = blocks.index(successor)
+        del blocks[index]
+        if index < position:
+            position -= 1
+    if len(blocks) != len(program.blocks):
+        program.replace_blocks(blocks)
     return removed
+
+
+def _absorbable(
+    program: Program, blocks: List[BasicBlock], position: int
+) -> Optional[BasicBlock]:
+    """The successor ``blocks[position]`` may absorb, if any."""
+    block = blocks[position]
+    if len(block.successors) != 1:
+        return None
+    succ_name = block.successors[0]
+    if succ_name == block.name or succ_name == program.entry.name:
+        return None
+    successor = program.block(succ_name)
+    if successor.predecessors != [block.name]:
+        return None
+    terminator = block.terminator
+    if terminator is not None and terminator.opcode is not Opcode.JMP:
+        return None
+    adjacent = position + 1 < len(blocks) and blocks[position + 1] is successor
+    ending = successor.terminator
+    if not adjacent and (ending is None or ending.opcode is Opcode.BR):
+        return None
+    return successor
 
 
 def _remove_unreachable(program: Program) -> int:

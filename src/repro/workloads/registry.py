@@ -9,7 +9,7 @@ paper's own measurements for side-by-side reporting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache  # noqa: F401  (kept for API stability)
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -64,17 +64,9 @@ class WorkloadSpec:
     ) -> Program:
         """Compile this workload (memoized per option set)."""
         options = options or CompilerOptions()
-        key = (
-            transformed,
-            options.opt_level,
-            options.alias_model,
-            options.enable_cmov,
-            options.enable_hoist,
-            options.enable_schedule,
-            options.enable_store_predication,
-            options.int_registers,
-            options.float_registers,
-        )
+        # Every field, read shallowly: astuple would deep-copy each one
+        # on a path every Session operation crosses.
+        key = (transformed,) + tuple(getattr(options, f.name) for f in fields(options))
         return _compile_cached(self.name, key, self.source(transformed), options)
 
     def transform_stats(self) -> Dict[str, int]:
@@ -117,8 +109,8 @@ _PROGRAM_CACHE: Dict[tuple, Program] = {}
 
 
 def _compile_cached(name: str, key: tuple, source: str, options) -> Program:
-    # The key tuple carries the option fields that affect codegen;
-    # options itself is unhashable and only used on a cache miss.
+    # The key tuple carries every option field; options itself is
+    # unhashable and only used on a cache miss.
     cache_key = (name,) + key
     program = _PROGRAM_CACHE.get(cache_key)
     if program is None:

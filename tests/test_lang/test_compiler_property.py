@@ -3,16 +3,20 @@
 Hypothesis generates random MiniC kernels (guaranteed to terminate and
 stay in bounds), random inputs, and checks that every optimization
 level, alias model, and register budget computes the same final memory
-state as the unoptimized build.
+state as the unoptimized build.  If-conversion's one-scan loop must
+also produce the same listing as the simple loop that re-analyses and
+rescans from the entry after every conversion.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exec import run_program
 from repro.lang.compiler import CompilerOptions, compile_source
+from repro.lang.passes import cmov
+from repro.lang.passes.analysis import liveness, use_counts
 
 ARRAY_LEN = 16
 MASK = ARRAY_LEN - 1  # indices are masked, so any int expression is safe
@@ -129,6 +133,52 @@ def test_optimizations_preserve_semantics(source, data):
                 f"alias={options.alias_model} regs={options.int_registers} "
                 f"pred={options.enable_store_predication}\n{source}"
             )
+
+
+def _convert_restarting(program, allow_store_predication=False):
+    """Reference for ``cmov.run``: re-analyse, then rescan from the
+    entry, after every conversion."""
+    fresh = cmov._fresh_reg_allocator(program)
+    conversions = 0
+    while True:
+        program.finalize()
+        uses = use_counts(program)
+        live_in, _ = liveness(program)
+        blocks = program.blocks
+        for position in range(len(blocks) - 1):
+            block, then_block = blocks[position], blocks[position + 1]
+            if cmov._is_candidate(block, then_block, allow_store_predication):
+                following = blocks[position + 2] if position + 2 < len(blocks) else None
+                cmov._convert(program, block, then_block, following, uses, live_in, fresh)
+                program.replace_blocks([b for b in blocks if b is not then_block])
+                conversions += 1
+                break
+        else:
+            return conversions
+
+
+#: Converting the inner diamond leaves no CMOV (x is dead at the join),
+#: so the outer diamond becomes convertible only afterwards.
+_NESTED = """
+int a[], b[], c[];
+void kernel() {
+  int x;
+  x = 1;
+  if (a[0]) { if (x) { x = 0; } }
+}
+"""
+
+
+@settings(max_examples=25, deadline=None)
+@given(source=kernels())
+@example(source=_NESTED)
+def test_one_scan_if_conversion_matches_restarting_reference(source):
+    for options in _VARIANTS:
+        fast = compile_source(source, "t", options).disassemble()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cmov, "run", _convert_restarting)
+            slow = compile_source(source, "t", options).disassemble()
+        assert fast == slow, f"{options}\n{source}"
 
 
 @settings(max_examples=12, deadline=None)

@@ -118,6 +118,24 @@ void kernel() {
     assert interp.array("out") == [12]
 
 
+def test_break_as_the_only_loop_exit(options):
+    # The loop's exit block is reached only by the break's jump, from a
+    # block laid out away from it: merging the two must keep the exit
+    # block's fall-through path.
+    src = """
+int a[]; int out[];
+void kernel() {
+  int k;
+  for (k = 0; ; k++) {
+    if (a[k] > 5) break;
+  }
+  out[0] = k;
+}
+"""
+    interp = run(src, {"a": [1, 2, 9, 3], "out": [0]}, options)
+    assert interp.array("out") == [2]
+
+
 def test_float_global_scalar_writeback(options):
     src = """
 float total;

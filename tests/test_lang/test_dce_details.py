@@ -73,6 +73,37 @@ def test_straightline_merge_grows_block():
     assert program.entry.terminator.opcode is Opcode.HALT
 
 
+def test_merge_keeps_absorbing_after_taking_an_earlier_block():
+    program = Program("t")
+    entry = program.new_block("entry")
+    entry.append(li(0, 1))
+    entry.append(Instruction(Opcode.BR, srcs=(r(0),), target="b"))
+    done = program.new_block("done")
+    done.append(Instruction(Opcode.HALT))
+    # s may not absorb u, which falls through and is not laid out after s.
+    s = program.new_block("s")
+    s.append(li(1, 2))
+    s.append(Instruction(Opcode.JMP, target="u"))
+    b = program.new_block("b")
+    b.append(li(2, 3))
+    b.append(Instruction(Opcode.JMP, target="s"))
+    u = program.new_block("u")
+    u.append(Instruction(Opcode.STORE, srcs=(r(1), r(0)), array="a"))
+    v = program.new_block("v")
+    v.append(Instruction(Opcode.STORE, srcs=(r(2), r(0)), array="a", imm=1))
+    v.append(Instruction(Opcode.HALT))
+    program.declare_array("a", 4)
+    program.finalize()
+
+    dce._merge_straightline(program)
+    # b takes s (laid out before it), then u, now its layout successor,
+    # then v.
+    assert [block.name for block in program.blocks] == ["entry", "done", "b"]
+    assert [i.opcode for i in program.block("b")] == [
+        Opcode.LI, Opcode.LI, Opcode.STORE, Opcode.STORE, Opcode.HALT
+    ]
+
+
 def test_loop_head_not_merged_into_predecessor():
     program = Program("t")
     entry = program.new_block("entry")

@@ -1,5 +1,7 @@
 """Unit tests for the individual optimization passes."""
 
+from collections import Counter
+
 import pytest
 
 from repro.exec import run_program
@@ -247,6 +249,56 @@ void kernel() {
     dce.run(program)
     converted = cmov.run(program)
     assert converted == 0  # loads are never speculated
+
+
+def _diamond_kernel(diamonds):
+    """A kernel with ``diamonds`` store-free THEN paths, each after a load."""
+    body = "".join(
+        f"  v = a[{k}];\n  if (v > {k}) acc = acc + {k};\n" for k in range(diamonds)
+    )
+    return (
+        "int a[]; int out[];\nvoid kernel() {\n  int v; int acc;\n  acc = 0;\n"
+        f"{body}  out[0] = acc;\n}}\n"
+    )
+
+
+@pytest.mark.parametrize("diamonds", [40, 80])
+def test_rewrite_loops_run_their_analyses_a_constant_number_of_times(
+    monkeypatch, diamonds
+):
+    program = lowered(_diamond_kernel(diamonds))
+    constfold.run(program)
+    dce.run(program)
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Program, "finalize", counted("finalize", Program.finalize))
+        patch.setattr(
+            Program, "replace_blocks", counted("replace_blocks", Program.replace_blocks)
+        )
+        patch.setattr(cmov, "liveness", counted("liveness", cmov.liveness))
+        patch.setattr(cmov, "use_counts", counted("use_counts", cmov.use_counts))
+        assert cmov.run(program) == diamonds
+        cmov_calls = calls.copy()
+        calls.clear()
+        blocks = len(program.blocks)
+        dce._merge_straightline(program)
+        merge_calls = calls.copy()
+    # Every converted diamond's join block folds into its branch block.
+    assert blocks - len(program.blocks) >= diamonds
+    assert cmov_calls["finalize"] <= 2
+    assert cmov_calls["liveness"] == cmov_calls["use_counts"] == 1
+    assert merge_calls["finalize"] <= 1 and merge_calls["replace_blocks"] <= 1
+    a = [(7 * k) % 50 for k in range(diamonds)]
+    interp = run_program(program, {"a": a, "out": [0]})
+    assert interp.array("out") == [sum(k for k in range(diamonds) if a[k] > k)]
 
 
 # ---------------------------------------------------------------------------

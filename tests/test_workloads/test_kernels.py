@@ -4,6 +4,7 @@ match independent Python reference implementations."""
 import pytest
 
 from repro.exec import run_program
+from repro.lang.compiler import CompilerOptions, compile_source
 from repro.workloads import all_workloads, get_workload, spec_workloads
 from repro.workloads.datasets import check_scale
 
@@ -223,6 +224,14 @@ def test_registry_lookup_and_errors():
     assert get_workload("gcc").category.startswith("SPEC")
     with pytest.raises(KeyError):
         get_workload("doom")
+
+
+def test_program_memo_keys_on_every_option_field():
+    spec = get_workload("hmmsearch")
+    spec.program()
+    unrolled = CompilerOptions(unroll_factor=4)
+    expected = compile_source(spec.source(), name=spec.name, options=unrolled)
+    assert spec.program(options=unrolled).disassemble() == expected.disassemble()
 
 
 def test_paper_numbers_present_for_amenable():
