@@ -64,7 +64,7 @@ def _percentile(values, q):
 def _serve_phase(jobs):
     """Cold-then-warm closed loop against one service; returns
     (row dict, digest-per-workload) for bit-identity checks."""
-    config = RunConfig(scale="test", jobs=jobs, keep_workers=True, cache=False)
+    config = RunConfig(scale="test", jobs=jobs, cache=False)
     policy = ServicePolicy(max_queue=4 * CLIENTS * len(WORKLOADS))
     with CharacterizationService(config=config, policy=policy) as service:
         client = ServiceClient(service)

@@ -6,7 +6,7 @@ sweep a parameter — flows through a :class:`Session` configured by one
 :class:`RunConfig`:
 
     >>> from repro.api import Session, RunConfig
-    >>> with Session(RunConfig(scale="test", jobs=4, retries=2)) as s:
+    >>> with Session(RunConfig(scale="test", jobs=4)) as s:
     ...     mix = s.characterize("hmmsearch").mix
     ...     rows = s.evaluate()            # full Table 8 grid
     ...     points = s.sweep("hmmsearch", "l1_hit_int", [1, 2, 3])
@@ -14,10 +14,9 @@ sweep a parameter — flows through a :class:`Session` configured by one
 The session owns the knobs that used to drift between entry points:
 
 * the **run cache** directory (and whether caching is on at all),
-* **parallelism** (worker-process count),
-* the **resilience policy** — per-task timeout, retry count, backoff —
-  and any **fault-injection** config, all threaded into every
-  :class:`~repro.core.parallel.ParallelRunner` the session builds,
+* **parallelism** — the worker-process count of the session's one
+  :class:`~repro.core.parallel.ParallelRunner`, whose workers live
+  until :meth:`Session.close`,
 * the **tracer** (pass ``trace=`` to collect telemetry and flush it on
   :meth:`close` / context-manager exit).
 
@@ -25,10 +24,6 @@ Results are memoized per (workload, scale, seed) within the session
 and persisted through the run cache across sessions, so repeated
 queries cost one characterization run, exactly like the paper's
 instrument-once / analyse-many ATOM workflow.
-
-Every run — even a single serial one — goes through the fault-tolerant
-execution engine, so retry/timeout/fault behavior is identical whether
-a workload is characterized alone or as part of a fan-out.
 
 :meth:`Session.analyze` is the trace-backed query path: the first
 analysis of a workload records a :class:`repro.trace.TraceArtifact`
@@ -40,17 +35,21 @@ re-executing the program, bit-identical to direct execution.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.atom.runner import CharacterizationResult
-from repro.core import faults as faults_mod
-from repro.core.parallel import BackoffPolicy, ParallelRunner
+from repro.core import parallel
 from repro.core.pipeline import EvaluationResult
 from repro.workloads.registry import all_workloads, get_workload, spec_workloads
 
 __all__ = ["AnalyzeResult", "RunConfig", "Session"]
+
+#: Environment variables of the deleted retry, timeout and
+#: fault-injection layer; a session refuses to start while one is set.
+_REMOVED_ENV = ("REPRO_RETRIES", "REPRO_TIMEOUT", "REPRO_FAULTS")
 
 #: The Table 7 platform keys, in paper order, plus the LDBP what-if
 #: column (docs/branch-prediction.md).
@@ -67,9 +66,6 @@ class RunConfig:
     the (heavier) evaluation scale used by the Table 8 grid.  ``cache``
     turns the persistent run cache off entirely; ``cache_dir`` pins its
     directory (default: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
-    ``retries``/``timeout`` default from ``$REPRO_RETRIES`` /
-    ``$REPRO_TIMEOUT`` when None; ``faults`` pins a fault-injection
-    config (default: whatever ``$REPRO_FAULTS`` says, usually none).
     ``trace`` names a JSONL file: telemetry is enabled for the
     session's lifetime and flushed there on close.  ``backend`` picks
     the execution engine (``compiled`` or ``switch``; None defers to
@@ -84,15 +80,8 @@ class RunConfig:
     jobs: int = 1
     cache: bool = True
     cache_dir: Optional[str] = None
-    retries: Optional[int] = None
-    timeout: Optional[float] = None
-    backoff: Optional[BackoffPolicy] = None
-    faults: Optional[faults_mod.FaultConfig] = None
     trace: Optional[str] = None
     backend: Optional[str] = None
-    #: Keep one warm worker pool alive across batch calls (used by the
-    #: ``repro serve`` request server); released by :meth:`Session.close`.
-    keep_workers: bool = False
 
     def with_overrides(self, **overrides) -> "RunConfig":
         """A copy with the given fields replaced (None values ignored)."""
@@ -129,7 +118,8 @@ class Session:
 
     Construct with a :class:`RunConfig` or keyword overrides
     (``Session(scale="test", jobs=4)``).  Usable as a context manager;
-    exit flushes the trace file when tracing was requested.
+    exit stops the workers and flushes the trace file when tracing was
+    requested.
     """
 
     def __init__(self, config: Optional[RunConfig] = None, **overrides):
@@ -137,10 +127,16 @@ class Session:
             config = RunConfig()
         self.config = config.with_overrides(**overrides)
         self.backend  # fail fast on unknown backend names
+        for name in _REMOVED_ENV:
+            if os.environ.get(name, "").strip():
+                raise ValueError(
+                    f"${name} was removed along with task retries, timeouts "
+                    "and fault injection; unset it"
+                )
         self._runs: Dict[Tuple[str, str, int], CharacterizationResult] = {}
         self._fingerprints: Dict[Tuple[str, str, int], str] = {}
         self._traces: Dict[Tuple[str, str, int], object] = {}
-        self._pool: Optional[ParallelRunner] = None
+        self._runner = parallel.ParallelRunner(jobs=self.jobs)
         self._cache = None
         if self.config.cache:
             from repro.core.runcache import _STATS_FLUSH_OPS, RunCache
@@ -150,6 +146,9 @@ class Session:
             self._cache = RunCache(
                 self.config.cache_dir, stats_flush_ops=_STATS_FLUSH_OPS
             )
+        # Telemetry this session switched on is switched off again by
+        # close(); telemetry that was already on stays on.
+        self._owns_telemetry = bool(self.config.trace) and not obs.enabled()
         if self.config.trace:
             obs.enable()
 
@@ -178,15 +177,9 @@ class Session:
         """The session's :class:`~repro.core.runcache.RunCache` (or None)."""
         return self._cache
 
-    def runner(self, jobs: Optional[int] = None) -> ParallelRunner:
-        """A :class:`ParallelRunner` carrying the session's policy."""
-        return ParallelRunner(
-            jobs=self.jobs if jobs is None else jobs,
-            retries=self.config.retries,
-            timeout=self.config.timeout,
-            backoff=self.config.backoff,
-            faults=self.config.faults,
-        )
+    def runner(self) -> parallel.ParallelRunner:
+        """The session's one :class:`ParallelRunner` (``jobs`` workers)."""
+        return self._runner
 
     def _fingerprint(self, name: str, scale: str, seed: int) -> str:
         from repro.core.runcache import workload_fingerprint
@@ -205,22 +198,6 @@ class Session:
 
     fingerprint = _fingerprint
 
-    def _batch_runner(self) -> ParallelRunner:
-        """The runner batch calls use: warm and shared when
-        ``keep_workers`` is set, otherwise a fresh per-call pool."""
-        if not self.config.keep_workers:
-            return self.runner()
-        if self._pool is None:
-            self._pool = ParallelRunner(
-                jobs=self.jobs,
-                retries=self.config.retries,
-                timeout=self.config.timeout,
-                backoff=self.config.backoff,
-                faults=self.config.faults,
-                keep_alive=True,
-            )
-        return self._pool
-
     def memoized(
         self, name: str, scale: Optional[str] = None, seed: Optional[int] = None
     ) -> Optional[CharacterizationResult]:
@@ -237,7 +214,6 @@ class Session:
         self, name: str, scale: Optional[str] = None, seed: Optional[int] = None
     ) -> CharacterizationResult:
         """The (memoized, cached) characterization run for ``name``."""
-        from repro.core.parallel import _characterize_task
         from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 
         get_workload(name)  # unknown workloads raise KeyError here, not in a worker
@@ -256,10 +232,9 @@ class Session:
                     source = "cache"
             if result is None:
                 source = "interp"
-                _, result = self.runner(jobs=1).run_one(
-                    _characterize_task,
+                _, result = parallel._characterize_task(
                     (name, scale, seed, DEFAULT_MAX_INSTRUCTIONS,
-                     self.config.backend),
+                     self.config.backend)
                 )
                 if self._cache is not None:
                     self._cache.store(self._fingerprint(name, scale, seed), result)
@@ -366,12 +341,10 @@ class Session:
         """Materialize runs for ``names`` (default: every workload).
 
         Cached and memoized runs are reused; the remainder fan out
-        across the session's workers.  A run that fails even after the
-        session's retries is skipped here (``experiments.
-        prefetch_failures``) and surfaces on the eventual serial
-        :meth:`run` call for it — prefetch itself never raises.
+        across the session's workers.  A run that fails is skipped here
+        (``experiments.prefetch_failures``) and surfaces on the eventual
+        serial :meth:`run` call for it — prefetch itself never raises.
         """
-        from repro.core.parallel import FailedCell, _characterize_task
         from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 
         if names is None:
@@ -398,8 +371,9 @@ class Session:
                  self.config.backend)
                 for name in missing
             ]
-            for settled in self.runner().map_settled(_characterize_task, tasks):
-                if isinstance(settled, FailedCell):
+            runs = self._runner.map_settled(parallel._characterize_task, tasks)
+            for settled in runs:
+                if isinstance(settled, parallel.FailedCell):
                     obs.metrics().counter("experiments.prefetch_failures").inc()
                     continue
                 name, result = settled
@@ -412,22 +386,18 @@ class Session:
     def characterize_many(
         self,
         specs: Sequence[Tuple[str, Optional[str], Optional[int]]],
-        timeout: Optional[float] = None,
         tags: Optional[Sequence[Optional[Dict[str, object]]]] = None,
     ) -> List[object]:
         """One characterization per ``(name, scale, seed)`` triple, batched.
 
         The batch path of the ``repro serve`` request server: memo and
         run-cache hits are answered inline; the missing runs are
-        deduplicated and fanned out over **one** engine map — the
-        session's warm keep-alive pool when ``keep_workers`` is set —
-        and results come back aligned with ``specs``.  A run that still
-        fails after the session's retries occupies its slot as a
-        :class:`~repro.core.parallel.FailedCell` marker instead of
-        raising, so one bad request cannot take down a batch.  ``None``
-        scale/seed default to the session's.  ``timeout`` tightens
-        (never loosens) the engine's per-task deadline for this batch;
-        it is the hook request deadlines are mapped onto.  Unknown
+        deduplicated and fanned out over **one** map on the session's
+        workers, and results come back aligned with ``specs``.  A run
+        that fails (its task raised, or its worker died) occupies its
+        slot as a :class:`~repro.core.parallel.FailedCell` marker
+        instead of raising, so one bad request cannot take down a
+        batch.  ``None`` scale/seed default to the session's.  Unknown
         workload names raise ``KeyError`` before any work is dispatched.
 
         ``tags`` is an optional per-spec list of trace attrs (the
@@ -438,7 +408,6 @@ class Session:
         Duplicate specs landing on one engine task merge their IDs into
         a ``request_ids`` list.
         """
-        from repro.core.parallel import FailedCell, _characterize_task
         from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 
         keys = [
@@ -504,20 +473,11 @@ class Session:
                 contexts = [_ctx(key) for key in missing]
                 if not any(contexts):
                     contexts = None
-                runner = self._batch_runner()
-                saved = runner.timeout
-                if timeout is not None:
-                    runner.timeout = (
-                        timeout if saved is None else min(saved, timeout)
-                    )
-                try:
-                    settled_list = runner.map_settled(
-                        _characterize_task, tasks, contexts=contexts
-                    )
-                finally:
-                    runner.timeout = saved
+                settled_list = self._runner.map_settled(
+                    parallel._characterize_task, tasks, contexts=contexts
+                )
                 for key, settled in zip(missing, settled_list):
-                    if isinstance(settled, FailedCell):
+                    if isinstance(settled, parallel.FailedCell):
                         obs.metrics().counter(
                             "experiments.batch_failures"
                         ).inc()
@@ -542,25 +502,23 @@ class Session:
         """Original-vs-transformed evaluation.
 
         With a ``workload``: one :class:`EvaluationResult` on one
-        ``platform`` (default ``"alpha"``), run through the engine so
-        the session's retry/fault policy applies.
+        ``platform`` (default ``"alpha"``), run in the calling process.
 
         Without: the full Table 8 grid over ``platforms`` (default: all
         four Table 7 models) at ``eval_scale``, returning runtime rows
         with :class:`~repro.core.parallel.FailedCell` markers for cells
-        that failed past retries (or raising when ``strict=True``).
+        that failed (or raising when ``strict=True``).
         ``checkpoint`` streams completed cells to a JSONL file and
         resumes from it, running only the missing cells.
         """
         from repro.core import experiments as E
-        from repro.core.parallel import _evaluate_task
 
         scale = self.config.eval_scale if scale is None else scale
         if workload is not None:
             get_workload(workload)  # KeyError in the caller, not a worker
             key = platform or "alpha"
-            _name, _key, evaluation = self.runner(jobs=1).run_one(
-                _evaluate_task, (workload, key, scale, self.seed)
+            _name, _key, evaluation = parallel._evaluate_task(
+                (workload, key, scale, self.seed)
             )
             return evaluation
         keys = tuple(platforms) if platforms else DEFAULT_PLATFORMS
@@ -568,7 +526,7 @@ class Session:
             scale=scale,
             seed=self.seed,
             platform_keys=keys,
-            runner=self.runner(),
+            runner=self._runner,
             checkpoint=checkpoint,
             strict=strict,
         )
@@ -587,8 +545,7 @@ class Session:
         ``kind`` is ``"platform"`` (a :class:`~repro.cpu.PlatformConfig`
         field) or ``"compiler"`` (a :class:`~repro.lang.CompilerOptions`
         field); extra keyword arguments pass through to the underlying
-        sweep function.  Points fan out over the session's workers with
-        its retry/timeout policy.
+        sweep function.  Points fan out over the session's workers.
         """
         from repro.core import sweeps
 
@@ -600,28 +557,27 @@ class Session:
             raise ValueError(f"unknown sweep kind {kind!r} (want platform|compiler)")
         kwargs.setdefault("scale", self.scale)
         kwargs.setdefault("seed", self.seed)
-        return fn(workload, field, values, runner=self.runner(), **kwargs)
+        return fn(workload, field, values, runner=self._runner, **kwargs)
 
     # -- lifecycle -----------------------------------------------------------
     def pool_liveness(self) -> List[Dict[str, object]]:
-        """Health of the warm keep-alive worker pool, one entry per
-        worker (pid, alive, busy, heartbeat age) — what ``/healthz``
-        reports as ``workers``.  Empty when no pool is warm."""
-        if self._pool is None:
-            return []
-        return self._pool.liveness()
+        """The session's workers (pid, alive, busy) — what ``/healthz``
+        reports as ``workers``.  Empty before the first pooled map."""
+        return self._runner.liveness()
 
     def close(self) -> Optional[str]:
-        """Release the keep-alive worker pool (if any) and flush the
-        trace file when tracing was requested; returns the trace path."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Stop the workers, flush the trace file when tracing was
+        requested and switch off the telemetry this session switched
+        on; returns the trace path."""
+        self._runner.close()
         if self._cache is not None:
             self._cache.flush_stats()
         if not self.config.trace:
             return None
         obs.flush_to(self.config.trace)
+        if self._owns_telemetry:
+            obs.disable()
+            self._owns_telemetry = False
         return self.config.trace
 
     def __enter__(self) -> "Session":

@@ -7,9 +7,9 @@ Commands:
   coverage, cache, sequences, hot loads);
 * ``candidates WORKLOAD`` — the Section 3 candidate loads;
 * ``evaluate WORKLOAD`` — original vs transformed cycles per platform;
-  ``evaluate --all`` runs the whole Table 8 grid fault-tolerantly
-  (``--checkpoint FILE`` resumes an interrupted sweep from its
-  completed cells);
+  ``evaluate --all`` runs the whole Table 8 grid, reporting failed
+  cells instead of stopping (``--checkpoint FILE`` resumes an
+  interrupted sweep from its completed cells);
 * ``disasm WORKLOAD`` — machine code, original or transformed;
 * ``report`` — regenerate EXPERIMENTS.md (all tables and figures);
 * ``cache stats|clear|prune`` — inspect, clear, or size-bound the
@@ -29,10 +29,9 @@ Commands:
 
 Every work-running subcommand (characterize, candidates, evaluate,
 disasm, report) accepts one shared execution flag group —
-``--jobs/--cache/--no-cache/--cache-dir/--trace/--timeout/--retries/
---faults/--backend`` — threaded into a single :class:`repro.api.Session`, so
-parallelism, caching, resilience policy, and fault injection behave
-identically everywhere (``report`` caches by default; the
+``--jobs/--cache/--no-cache/--cache-dir/--trace/--backend`` — threaded
+into a single :class:`repro.api.Session`, so parallelism and caching
+behave identically everywhere (``report`` caches by default; the
 per-workload commands opt in with ``--cache``).
 
 The global ``--trace [FILE]`` flag (or ``REPRO_TRACE=1``/``=FILE``)
@@ -96,28 +95,6 @@ def _work_parent() -> argparse.ArgumentParser:
         "(default file: repro-trace.jsonl)",
     )
     group.add_argument(
-        "--timeout",
-        type=float,
-        default=suppress,
-        metavar="SECONDS",
-        help="per-task wall-clock deadline (default: $REPRO_TIMEOUT or none)",
-    )
-    group.add_argument(
-        "--retries",
-        type=int,
-        default=suppress,
-        metavar="N",
-        help="re-run a failed task up to N times with exponential backoff "
-        "(default: $REPRO_RETRIES or 0)",
-    )
-    group.add_argument(
-        "--faults",
-        default=suppress,
-        metavar="SPEC",
-        help="inject deterministic faults for chaos testing, "
-        "e.g. 'crash=0.2,seed=7' (see docs/robustness.md)",
-    )
-    group.add_argument(
         "--backend",
         choices=["compiled", "switch"],
         default=suppress,
@@ -128,16 +105,13 @@ def _work_parent() -> argparse.ArgumentParser:
 
 
 def _session_from_args(args, scale: str, eval_scale: Optional[str] = None,
-                       cache_default: bool = False, keep_workers: bool = False):
+                       cache_default: bool = False):
     """Build the one :class:`repro.api.Session` a work command uses."""
     from repro.api import RunConfig, Session
-    from repro.core import faults as faults_mod
     from repro.core.parallel import default_jobs
 
     jobs = getattr(args, "jobs", 1)
     jobs = default_jobs() if jobs == 0 else jobs
-    spec = getattr(args, "faults", None)
-    faults = faults_mod.FaultConfig.from_spec(spec) if spec else None
     return Session(
         RunConfig(
             scale=scale,
@@ -146,11 +120,7 @@ def _session_from_args(args, scale: str, eval_scale: Optional[str] = None,
             jobs=jobs,
             cache=getattr(args, "use_cache", cache_default),
             cache_dir=getattr(args, "cache_dir", None),
-            retries=getattr(args, "retries", None),
-            timeout=getattr(args, "timeout", None),
-            faults=faults,
             backend=getattr(args, "backend", None),
-            keep_workers=keep_workers,
         )
     )
 
@@ -194,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--all",
         action="store_true",
         dest="all_cells",
-        help="run the whole Table 8 grid (all amenable workloads × platforms) "
-        "fault-tolerantly; failed cells are reported, not fatal mid-sweep",
+        help="run the whole Table 8 grid (all amenable workloads × platforms); "
+        "failed cells are reported, not fatal mid-sweep",
     )
     evaluate.add_argument("--scale", choices=SCALES, default="small")
     evaluate.add_argument("--seed", type=int, default=0)
@@ -508,25 +478,25 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_evaluate_all(args) -> None:
-    """The full Table 8 grid, fault-tolerant and checkpoint-resumable."""
+    """The full Table 8 grid, degrading per cell, checkpoint-resumable."""
     from repro.core.experiments import figure9_speedups, render_figure9, render_table8
     from repro.core.parallel import FailedCell
 
-    session = _session_from_args(args, scale=args.scale)
     platforms = None if args.platform == "all" else (args.platform,)
-    rows = session.evaluate(
-        platforms=platforms, scale=args.scale, checkpoint=args.checkpoint
-    )
+    with _session_from_args(args, scale=args.scale) as session:
+        rows = session.evaluate(
+            platforms=platforms, scale=args.scale, checkpoint=args.checkpoint
+        )
     print(render_table8(rows))
     print()
     print(render_figure9(figure9_speedups(rows)))
     failed = [r for r in rows if isinstance(r, FailedCell)]
     if failed:
-        print(f"\n{len(failed)} cell(s) failed after retries:")
+        print(f"\n{len(failed)} cell(s) failed:")
         for cell in failed:
             print(f"  {cell.description}: {cell.error}")
         if args.checkpoint:
-            print(f"re-run with --checkpoint {args.checkpoint} to retry only these")
+            print(f"re-run with --checkpoint {args.checkpoint} to run only these")
         sys.exit(1)
 
 
@@ -541,7 +511,6 @@ def _cmd_disasm(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    from repro.core import faults as faults_mod
     from repro.core.parallel import default_jobs
     from repro.core.report import generate
     from repro.core.runcache import RunCache
@@ -550,16 +519,7 @@ def _cmd_report(args) -> None:
     cache = RunCache(getattr(args, "cache_dir", None)) if use_cache else None
     jobs = getattr(args, "jobs", 1)
     jobs = default_jobs() if jobs == 0 else jobs
-    spec = getattr(args, "faults", None)
-    text = generate(
-        args.char_scale,
-        args.eval_scale,
-        jobs=jobs,
-        cache=cache,
-        retries=getattr(args, "retries", None),
-        timeout=getattr(args, "timeout", None),
-        faults=faults_mod.FaultConfig.from_spec(spec) if spec else None,
-    )
+    text = generate(args.char_scale, args.eval_scale, jobs=jobs, cache=cache)
     with open(args.out, "w") as handle:
         handle.write(text)
     print(f"wrote {args.out}")
@@ -569,9 +529,7 @@ def _cmd_serve(args) -> None:
     from repro.serve import CharacterizationService, ServicePolicy
     from repro.serve.server import main_loop
 
-    session = _session_from_args(
-        args, scale=args.scale, cache_default=True, keep_workers=True
-    )
+    session = _session_from_args(args, scale=args.scale, cache_default=True)
     policy = ServicePolicy(
         max_queue=args.max_queue,
         max_batch=args.max_batch,

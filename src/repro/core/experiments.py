@@ -11,6 +11,7 @@ pass per program, exactly like the paper's single ATOM profile run.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -495,14 +496,14 @@ def table8_runtimes(
     processes; each cell is an independent deterministic simulation and
     rows come back in grid order, so the output is identical to serial.
 
-    ``runner`` supplies a pre-configured :class:`~repro.core.parallel.
-    ParallelRunner` (retry/timeout/fault policy); otherwise one is
-    built from ``jobs``.  A cell that still fails after the runner's
-    retries appears in the result as a :class:`~repro.core.parallel.
-    FailedCell` marker (the sweep degrades instead of raising) unless
-    ``strict=True``.  ``checkpoint`` names a JSONL file: completed
-    cells stream into it as they settle, and a rerun with the same
-    sweep parameters loads them back and runs only the missing cells.
+    ``runner`` supplies a :class:`~repro.core.parallel.ParallelRunner`
+    (a session's); otherwise one is built from ``jobs`` and closed on
+    return.  A cell that fails appears in the result as a
+    :class:`~repro.core.parallel.FailedCell` marker (the sweep degrades
+    instead of raising) unless ``strict=True``.  ``checkpoint`` names a
+    JSONL file: completed cells stream into it as they settle, and a
+    rerun with the same sweep parameters loads them back and runs only
+    the missing cells.
     """
     from repro.core.parallel import FailedCell, ParallelRunner, _evaluate_task
     from repro.core.resume import SweepCheckpoint, sweep_fingerprint
@@ -516,14 +517,14 @@ def table8_runtimes(
     done: Dict[str, object] = store.load() if store is not None else {}
     pending = [task for task in tasks if _cell_key(task) not in done]
 
-    if runner is None:
-        runner = ParallelRunner(jobs=jobs)
     on_result = None
     if store is not None:
         on_result = lambda index, task, value: store.record(_cell_key(task), value)
     if pending:
-        mapper = runner.map if strict else runner.map_settled
-        settled = mapper(_evaluate_task, pending, on_result=on_result)
+        own = runner is None
+        with ParallelRunner(jobs=jobs) if own else nullcontext(runner) as active:
+            mapper = active.map if strict else active.map_settled
+            settled = mapper(_evaluate_task, pending, on_result=on_result)
         done.update(zip(map(_cell_key, pending), settled))
 
     rows: List = []

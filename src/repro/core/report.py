@@ -39,9 +39,6 @@ def generate(
     seed: int = 0,
     jobs: int = 1,
     cache=None,
-    retries: Optional[int] = None,
-    timeout: Optional[float] = None,
-    faults=None,
 ) -> str:
     """Run everything and return the EXPERIMENTS.md markdown.
 
@@ -50,31 +47,24 @@ def generate(
     :class:`repro.core.runcache.RunCache`) persists characterization
     runs so a regeneration with unchanged inputs skips them entirely.
     The emitted report is byte-identical either way (modulo the
-    generation-time footer).  ``retries``/``timeout``/``faults`` set
-    the session's resilience policy (defaults: ``$REPRO_RETRIES`` /
-    ``$REPRO_TIMEOUT`` / ``$REPRO_FAULTS``); a Table 8 cell that fails
-    past retries renders as an annotated FAILED row instead of
-    aborting the whole report.
+    generation-time footer).  A Table 8 cell that fails renders as an
+    annotated FAILED row instead of aborting the whole report.
     """
     started = time.time()
     from repro.api import RunConfig, Session
 
-    session = Session(
-        RunConfig(
-            scale=char_scale,
-            eval_scale=eval_scale,
-            seed=seed,
-            jobs=jobs,
-            cache=False,
-            retries=retries,
-            timeout=timeout,
-            faults=faults,
-        )
+    config = RunConfig(
+        scale=char_scale, eval_scale=eval_scale, seed=seed, jobs=jobs, cache=False
     )
-    # ``cache`` arrives as a RunCache instance (None = caching off), so
-    # graft it onto the session rather than having it build its own.
-    session._cache = cache
-    context = session
+    with Session(config) as session:
+        # ``cache`` arrives as a RunCache instance (None = caching off),
+        # so graft it onto the session rather than have it build its own.
+        session._cache = cache
+        return _render(session, char_scale, eval_scale, seed, started)
+
+
+def _render(context, char_scale: str, eval_scale: str, seed: int, started) -> str:
+    """Every table and figure of the report, from one open session."""
     context.prefetch()
     sections: List[str] = []
 
@@ -292,14 +282,14 @@ def generate(
     from repro.cpu.platforms import PLATFORMS
 
     runtime_rows = E.table8_runtimes(
-        scale=eval_scale, seed=seed, runner=session.runner()
+        scale=eval_scale, seed=seed, runner=context.runner()
     )
     summaries = E.figure9_speedups(runtime_rows)
     failed_cells = sum(1 for r in runtime_rows if isinstance(r, FailedCell))
     t8_note = ""
     if failed_cells:
         t8_note = (
-            f"\n\n**{failed_cells} cell(s) FAILED after retries — partial "
+            f"\n\n**{failed_cells} cell(s) FAILED — partial "
             "results; see docs/robustness.md.**"
         )
     t8_body = []

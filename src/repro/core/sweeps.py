@@ -17,6 +17,7 @@ so downstream users can run their own sensitivity studies over any
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -99,9 +100,9 @@ def _compiler_point(task) -> SweepPoint:
 def _run_points(worker, tasks, jobs: int, runner=None) -> List[SweepPoint]:
     from repro.core.parallel import ParallelRunner
 
-    if runner is None:
-        runner = ParallelRunner(jobs=jobs)
-    return runner.map(worker, tasks)
+    own = runner is None
+    with ParallelRunner(jobs=jobs) if own else nullcontext(runner) as active:
+        return active.map(worker, tasks)
 
 
 def sweep_platform_field(

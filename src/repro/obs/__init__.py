@@ -22,7 +22,7 @@ our own stack so a characterization run is never a black box:
 * :mod:`repro.obs.prometheus` — ``/metrics?format=prometheus`` text
   exposition and its validating parser;
 * :mod:`repro.obs.flightrec` — the bounded fault flight recorder that
-  dumps incident artifacts on 5xx/worker-death/chaos faults.
+  dumps incident artifacts on a 5xx or a worker death.
 
 Telemetry is off by default and the off path is a no-op: ``span()``
 returns a shared inert span and ``metrics()`` a registry that discards

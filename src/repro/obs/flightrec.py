@@ -3,18 +3,17 @@
 Production incidents are debugged from what the process remembers
 about the moments *before* the failure.  The flight recorder keeps a
 bounded, always-on ring buffer of recent event records per process —
-finished spans, request resolutions, worker deaths, injected faults —
-and, when something goes wrong (a request 5xxes, a worker dies, the
-chaos harness fires), dumps the ring together with the access-log
-tail and a metrics snapshot to a ``flightrec/`` artifact: a readable
-incident record instead of "the chaos job failed".
+finished spans, request resolutions, failed tasks, worker deaths —
+and, when something goes wrong (a request 5xxes, a worker dies), dumps
+the ring together with the access-log tail and a metrics snapshot to a
+``flightrec/`` artifact: a readable incident record instead of "the
+request failed".
 
 Recording is cheap (one dict append into a ``deque(maxlen=...)``) and
 always on once :func:`enable` is called; **dumping** only happens when
 a dump directory is configured, and is capped per process so a crash
 loop cannot fill the disk.  The CLI server (``repro serve
---flightrec-dir``) and the chaos CI enable it; library use stays inert
-unless asked.
+--flightrec-dir``) enables it; library use stays inert unless asked.
 """
 
 from __future__ import annotations

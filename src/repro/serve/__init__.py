@@ -1,14 +1,14 @@
 """Characterization-as-a-service: an async batching server over the
 :class:`repro.api.Session` facade.
 
-One warm session (compiled-code cache, run cache, keep-alive worker
+One warm session (compiled-code cache, run cache, long-lived worker
 pool) answers many requests: identical in-flight requests coalesce
 (single-flight on the run-cache fingerprint), compatible requests
 batch into one engine map, bounded queues reject with 429-style
-backpressure, and per-request deadlines ride the engine's own
-timeout/retry policy.  ``python -m repro serve`` starts the HTTP door;
-:class:`ServiceClient` is the in-process equivalent for tests and
-benchmarks.  Protocol and semantics: ``docs/service.md``.
+backpressure, and a request answered after its deadline gets a 504.
+``python -m repro serve`` starts the HTTP door; :class:`ServiceClient`
+is the in-process equivalent for tests and benchmarks.  Protocol and
+semantics: ``docs/service.md``.
 """
 
 from repro.serve.admission import (  # noqa: F401

@@ -10,11 +10,10 @@ observed EWMA batch service time multiplied by the number of batches
 already ahead in line.
 
 Deadlines are tracked against the monotonic clock from the moment a
-request is admitted; the batcher maps the tightest deadline of a batch
-onto the engine's per-task ``timeout`` (see
-:meth:`repro.api.Session.characterize_many`) and expires stragglers
-with a ``deadline_exceeded`` error — a computed-but-late result is
-still stored in the run cache, so the retry that follows is a hit.
+request is admitted; the batcher checks them when a request resolves
+and answers a late one with a ``deadline_exceeded`` error — a
+computed-but-late result is still stored in the run cache, so the
+retry that follows is a hit.
 """
 
 from __future__ import annotations

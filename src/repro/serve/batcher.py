@@ -1,4 +1,4 @@
-"""Request coalescing: single-flight, batching, deadline mapping.
+"""Request coalescing: single-flight, batching, deadlines.
 
 The batcher is the only component that talks to the engine, and it
 talks to it through exactly one door: the :class:`repro.api.Session`
@@ -16,19 +16,17 @@ amortized engine work:
 * **batching** — the dispatch thread lingers ``batch_window_s`` after
   the first pending flight, then folds up to ``max_batch`` distinct
   characterize runs into **one** :meth:`Session.characterize_many`
-  call — one engine map over the warm keep-alive worker pool.
+  call — one engine map over the session's warm workers.
 
-Deadlines: the tightest remaining request deadline of a batch becomes
-the engine's per-task ``timeout`` for that map (so a doomed task is
-killed, retried, and eventually failed by the engine's own policy),
-and any request whose deadline has passed by resolution time gets a
-``deadline_exceeded`` error even when the run itself succeeded — the
-result still lands in the session memo and run cache, so the client's
-retry is a fast-path hit.
+Deadlines are checked when a request resolves: a request whose
+deadline has passed gets a ``deadline_exceeded`` error even when the
+run itself succeeded — the result still lands in the session memo and
+run cache, so the client's retry is a fast-path hit.  A request that
+expires while queued is never run.
 
-A run that fails past the engine's retries (including injected faults
-from ``--faults``) resolves its waiters with a ``task_failed`` error;
-the batcher thread itself never dies with a request.
+A run that fails (its task raised, or its worker died) resolves its
+waiters with a ``task_failed`` error; the rest of the batch and the
+batcher thread itself carry on.
 
 Observability (PR 7): every waiter carries the request's
 :class:`~repro.obs.context.TraceContext`; a coalesced follower's
@@ -59,11 +57,6 @@ from repro.serve import protocol
 from repro.serve.admission import AdmissionController, Deadline, ServicePolicy
 
 __all__ = ["Batcher"]
-
-#: Floor for the engine timeout derived from request deadlines, so a
-#: nearly-expired deadline cannot translate into a zero-second task
-#: timeout that kills healthy workers.
-_MIN_ENGINE_TIMEOUT = 0.05
 
 #: How many completed runs the /runs/<id> registry remembers.
 _RUNS_CAPACITY = 512
@@ -339,9 +332,7 @@ class Batcher:
                 exec_start = time.monotonic()
                 for flight in live:
                     flight.exec_start = exec_start
-                outcomes = self._session.characterize_many(
-                    specs, timeout=self._batch_timeout(live), tags=tags
-                )
+                outcomes = self._session.characterize_many(specs, tags=tags)
                 exec_end = time.monotonic()
                 for flight in live:
                     flight.exec_end = exec_end
@@ -369,18 +360,6 @@ class Batcher:
                     )
         finally:
             self._admission.observe_batch(time.monotonic() - started)
-
-    def _batch_timeout(self, flights: List[_Flight]) -> Optional[float]:
-        """The tightest live request deadline, as an engine timeout."""
-        remaining = [
-            w.deadline.remaining()
-            for f in flights
-            for w in f.waiters
-            if w.deadline.remaining() is not None
-        ]
-        if not remaining:
-            return None
-        return max(_MIN_ENGINE_TIMEOUT, min(remaining))
 
     # -- resolution ----------------------------------------------------------
     def _obs_fields(
@@ -443,10 +422,7 @@ class Batcher:
         request = flight.request
         if isinstance(outcome, FailedCell):
             obs.metrics().counter("serve.task_failures").inc()
-            message = (
-                f"{outcome.description}: {outcome.error} "
-                f"({outcome.attempts} attempts)"
-            )
+            message = f"{outcome.description}: {outcome.error}"
             _flightrec.note(
                 "request_failed",
                 request_id=flight.leader_id,

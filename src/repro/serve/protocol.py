@@ -319,9 +319,9 @@ def analyze_payload(result) -> Dict[str, Any]:
 def sweep_payload(field: str, points: Sequence[object]) -> Dict[str, Any]:
     """Canonical JSON payload of a sweep's point list.
 
-    A point that failed past the engine's retries arrives as a
-    ``FailedCell`` marker and is encoded as an explicit ``failed``
-    entry, mirroring the graceful degradation of direct sweeps.
+    A point that failed arrives as a ``FailedCell`` marker and is
+    encoded as an explicit ``failed`` entry, mirroring the graceful
+    degradation of direct sweeps.
     """
     rows: List[Dict[str, Any]] = []
     for point in points:

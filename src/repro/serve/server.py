@@ -4,7 +4,7 @@ Three layers, separable on purpose:
 
 * :class:`CharacterizationService` — the whole service as a plain
   object: one warm :class:`repro.api.Session` (shared compiled-code
-  cache, shared run cache, one keep-alive worker pool), one
+  cache, shared run cache, one long-lived worker pool), one
   :class:`~repro.serve.admission.AdmissionController`, one
   :class:`~repro.serve.batcher.Batcher`.  ``handle_post`` /
   ``handle_get`` speak (status, JSON-body) pairs and never raise for
@@ -22,7 +22,7 @@ Routes::
 
     POST /v1/characterize | /v1/evaluate | /v1/sweep | /v1/analyze
          | /v1/submit
-    GET  /healthz   liveness, uptime, backend, worker-pool heartbeats,
+    GET  /healthz   liveness, uptime, backend, worker processes,
                     flight-recorder status
     GET  /metrics   repro.obs metrics snapshot (JSON, the default) or
                     Prometheus text exposition (?format=prometheus)
@@ -80,7 +80,7 @@ class CharacterizationService:
     """The batching characterization service over one warm session.
 
     ``session`` may be shared/pre-warmed; when None one is built from
-    ``config`` (default: ``scale="test"``, ``keep_workers=True``) and
+    ``config`` (default: ``scale="test"``) and
     owned — :meth:`close` only closes an owned session.  Metrics are
     enabled for the service's lifetime (metrics only: tracing, which
     changes worker capture behavior, stays at whatever the caller set).
@@ -113,8 +113,7 @@ class CharacterizationService:
         self._owns_session = session is None
         if session is None:
             session = Session(
-                config if config is not None
-                else RunConfig(scale="test", keep_workers=True)
+                config if config is not None else RunConfig(scale="test")
             )
         self.session = session
         self.policy = policy if policy is not None else ServicePolicy()

@@ -163,8 +163,9 @@ def test_bench_compare_pass_and_fail(capsys, tmp_path):
 
 
 def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
-    """The deleted ``batched`` backend and cluster flags are errors
-    naming the value, never a silent fallback to another engine."""
+    """The deleted ``batched`` backend, cluster flags and retry/timeout/
+    fault-injection inputs are errors naming the value, never a silent
+    fallback."""
     from repro.api import Session
     from repro.exec.backends import resolve_backend
 
@@ -181,3 +182,22 @@ def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
         main(["serve", "--replicas", "2"])
     assert info.value.code == 2
     assert "unrecognized arguments: --replicas 2" in capsys.readouterr().err
+
+    work_commands = (
+        ["characterize", "fasta"], ["candidates", "fasta"], ["evaluate", "--all"],
+        ["disasm", "fasta"], ["report"], ["serve"],
+        ["trace", "record", "fasta"], ["trace", "replay", "fasta"],
+    )
+    for flag in (["--timeout", "5"], ["--retries", "2"], ["--faults", "crash=0.2"]):
+        for command in work_commands:
+            with pytest.raises(SystemExit) as info:
+                main(command + flag)
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    for name in ("REPRO_RETRIES", "REPRO_TIMEOUT", "REPRO_FAULTS"):
+        monkeypatch.setenv(name, "1")
+        with pytest.raises(ValueError, match=rf"\${name} was removed"):
+            Session(cache=False)
+        monkeypatch.setenv(name, "")  # empty means unset
+        Session(cache=False).close()
+        monkeypatch.delenv(name)

@@ -1,23 +1,20 @@
-"""The fault-tolerant execution engine: timeouts, heartbeats, backoff,
-result integrity, graceful degradation, and recovery from injected and
-real worker failures."""
+"""The execution engine: per-task failure isolation, graceful
+degradation, recovery from a real worker death, and worker lifetime."""
 
+import gc
+import multiprocessing
 import os
-import time
+import signal
 
 import pytest
 
 from repro import obs
-from repro.core.faults import FaultConfig
-from repro.core.parallel import (
-    BackoffPolicy,
-    FailedCell,
-    ParallelRunner,
-    WorkerTaskError,
-)
+from repro.api import Session
+from repro.core.parallel import FailedCell, ParallelRunner, WorkerTaskError
 
-#: A backoff policy fast enough for tests (sub-millisecond sleeps).
-FAST = BackoffPolicy(base=0.001, cap=0.002, jitter=0.1)
+#: The test process itself; the killing task below only ever kills a
+#: worker, never pytest (a serial fallback would run it in-parent).
+PARENT_PID = os.getpid()
 
 
 def _double(task):
@@ -35,14 +32,11 @@ def _fail_odd(task):
     return task * 2
 
 
-def _exit_once(path):
-    """Real worker death: hard-exit the process on the first attempt,
-    succeed on the next (state carried via the filesystem)."""
-    if not os.path.exists(path):
-        with open(path, "w") as handle:
-            handle.write("died")
-        os._exit(17)
-    return "recovered"
+def _sigkill_on_three(task):
+    """A real worker death, as the OOM killer would cause it."""
+    if task == 3 and os.getpid() != PARENT_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task * 2
 
 
 # -- basics ------------------------------------------------------------------
@@ -70,222 +64,101 @@ def test_in_parent_failure_chains_cause():
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_map_settled_degrades_per_cell(jobs):
-    results = ParallelRunner(jobs=jobs, backoff=FAST).map_settled(
-        _fail_odd, [0, 1, 2, 3, 4]
-    )
+    with ParallelRunner(jobs=jobs) as runner:
+        results = runner.map_settled(_fail_odd, [0, 1, 2, 3, 4])
     assert [results[i] for i in (0, 2, 4)] == [0, 4, 8]
     for i in (1, 3):
         cell = results[i]
         assert isinstance(cell, FailedCell)
         assert cell.task == i
-        assert cell.attempts == 1
         assert "ValueError" in cell.error and f"odd task {i}" in cell.error
         assert cell.failed and "FAILED" in str(cell)
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
-def test_map_settled_failures_count_even_with_retries(jobs):
-    results = ParallelRunner(jobs=jobs, retries=2, backoff=FAST).map_settled(
-        _fail_odd, [1, 2]
-    )
-    assert isinstance(results[0], FailedCell)
-    assert results[0].attempts == 3
-    assert results[1] == 4
-
-
-@pytest.mark.parametrize("jobs", [1, 3])
 def test_on_result_streams_in_any_order_with_right_identity(jobs):
     seen = []
-    results = ParallelRunner(jobs=jobs).map(
-        _double, [5, 6, 7], on_result=lambda i, task, value: seen.append((i, task, value))
-    )
+    with ParallelRunner(jobs=jobs) as runner:
+        results = runner.map(
+            _double,
+            [5, 6, 7],
+            on_result=lambda i, task, value: seen.append((i, task, value)),
+        )
     assert results == [10, 12, 14]
     assert sorted(seen) == [(0, 5, 10), (1, 6, 12), (2, 7, 14)]
 
 
 def test_on_result_skips_failed_cells():
     seen = []
-    ParallelRunner(jobs=1, backoff=FAST).map_settled(
+    ParallelRunner(jobs=1).map_settled(
         _fail_odd, [0, 1, 2], on_result=lambda i, task, value: seen.append(i)
     )
     assert seen == [0, 2]
 
 
-# -- backoff -----------------------------------------------------------------
+# -- a real worker death -----------------------------------------------------
 
 
-def test_backoff_policy_grows_caps_and_jitters_deterministically():
-    policy = BackoffPolicy(base=0.1, factor=2.0, cap=0.5, jitter=0.1)
-    d1, d2, d5 = (policy.delay(a, "k") for a in (1, 2, 5))
-    assert 0.1 <= d1 <= 0.11
-    assert 0.2 <= d2 <= 0.22
-    assert 0.5 <= d5 <= 0.55  # capped before jitter
-    assert policy.delay(1, "k") == d1  # pure function of (attempt, key)
-    assert policy.delay(1, "other") != d1  # jitter varies per key
-    assert BackoffPolicy(base=0.1, jitter=0.0).delay(1, "k") == 0.1
-
-
-def test_retry_emits_backoff_telemetry():
+def test_real_worker_death_without_retries_is_a_failure():
+    """One SIGKILLed worker fails exactly its own task; every other slot
+    equals the serial result, the worker is replaced, and the same
+    runner serves the next map."""
+    tasks = list(range(10))
+    serial = ParallelRunner(jobs=1).map(_double, tasks)
     obs.enable()
     try:
-        runner = ParallelRunner(jobs=1, retries=1, backoff=FAST)
-        results = runner.map_settled(_fail, ["x"])
-        assert isinstance(results[0], FailedCell)
-        snap = obs.metrics().snapshot()
-        assert snap["parallel.retries"] == 1
-        stats = snap["parallel.backoff_ms"]
-        assert stats["count"] == 1 and stats["max"] < 50.0
-        retries = [r for r in obs.get_tracer().drain() if r.name == "parallel.retry"]
-        assert len(retries) == 1
-        assert retries[0].attrs["attempt"] == 2
-        assert "ValueError" in retries[0].attrs["previous_error"]
+        with ParallelRunner(jobs=2) as runner:
+            results = runner.map_settled(_sigkill_on_three, tasks)
+            assert obs.metrics().snapshot()["parallel.worker_deaths"] == 1
+            assert runner.map(_double, tasks) == serial
+            assert all(worker["alive"] for worker in runner.liveness())
+            # A strict map raises for the dead worker's task alone.
+            with pytest.raises(WorkerTaskError) as info:
+                runner.map(_sigkill_on_three, [2, 3, 4])
+            assert (info.value.exc_type, info.value.task) == ("WorkerCrash", 3)
+            assert runner.map(_double, tasks) == serial
     finally:
         obs.disable()
+    dead = [i for i, r in enumerate(results) if isinstance(r, FailedCell)]
+    assert dead == [3]
+    assert results[3].error.startswith("WorkerCrash: ")
+    assert "exit code -9" in results[3].error
+    assert [r for i, r in enumerate(results) if i != 3] == [
+        v for i, v in enumerate(serial) if i != 3
+    ]
 
 
-# -- injected faults vs the engine ------------------------------------------
+# -- worker lifetime ---------------------------------------------------------
 
 
-def clean(jobs=1):
-    return ParallelRunner(jobs=jobs).map(_double, [1, 2, 3])
+def test_long_lived_pool_follows_telemetry_toggles():
+    """The capture flag travels with each task: a pool started with
+    telemetry off ships worker spans once it is switched on, without
+    respawning its workers."""
+    with ParallelRunner(jobs=2) as runner:
+        runner.map(_double, [1, 2])
+        pids = sorted(w["pid"] for w in runner.liveness())
+        obs.enable()
+        try:
+            runner.map(_double, [3, 4])
+            spans = [r for r in obs.get_tracer().drain() if r.name == "parallel.task"]
+        finally:
+            obs.disable()
+        assert sorted(w["pid"] for w in runner.liveness()) == pids
+    assert len(spans) == 2
+    assert {span.pid for span in spans} <= set(pids)
 
 
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_crash_fault_masked_by_retries(jobs):
-    obs.enable()
-    try:
-        runner = ParallelRunner(
-            jobs=jobs,
-            retries=2,
-            backoff=FAST,
-            faults=FaultConfig(crash=1.0, seed=1, times=2),
-        )
-        assert runner.map(_double, [1, 2, 3]) == clean(jobs)
-        snap = obs.metrics().snapshot()
-        assert snap["faults.injected.crash"] == 6  # 3 tasks x 2 afflicted attempts
-        assert snap["parallel.retries"] == 6
-        assert "parallel.failures" not in snap
-    finally:
-        obs.disable()
+def test_session_workers_stop_on_close_and_when_dropped():
+    session = Session(scale="test", cache=False, jobs=2)
+    session.runner().map(_double, [1, 2, 3])
+    assert len(multiprocessing.active_children()) == 2
+    session.close()
+    assert multiprocessing.active_children() == []
 
-
-def test_crash_fault_without_retries_is_terminal():
-    runner = ParallelRunner(jobs=1, faults=FaultConfig(crash=1.0, seed=1))
-    results = runner.map_settled(_double, [1])
-    assert isinstance(results[0], FailedCell)
-    assert "InjectedCrash" in results[0].error
-
-
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_corrupt_fault_detected_and_retried(jobs):
-    obs.enable()
-    try:
-        runner = ParallelRunner(
-            jobs=jobs,
-            retries=1,
-            backoff=FAST,
-            faults=FaultConfig(corrupt=1.0, seed=2, times=1),
-        )
-        assert runner.map(_double, [1, 2, 3]) == clean(jobs)
-        snap = obs.metrics().snapshot()
-        assert snap["faults.injected.corrupt"] == 3
-        if jobs > 1:
-            # Pool transport: corruption caught by the integrity check.
-            assert snap["parallel.corrupt_results"] == 3
-        assert "parallel.failures" not in snap
-    finally:
-        obs.disable()
-
-
-def test_timeout_kills_hung_worker_and_retry_recovers():
-    obs.enable()
-    try:
-        runner = ParallelRunner(
-            jobs=2,
-            retries=1,
-            timeout=1.0,
-            backoff=FAST,
-            faults=FaultConfig(hang=1.0, seed=3, times=1, hang_seconds=60.0),
-        )
-        started = time.monotonic()
-        assert runner.map(_double, [1, 2, 3]) == clean(2)
-        assert time.monotonic() - started < 30.0  # killed, not slept out
-        snap = obs.metrics().snapshot()
-        assert snap["parallel.timeouts"] == 3
-        assert snap["parallel.retries"] == 3
-        assert "parallel.failures" not in snap
-    finally:
-        obs.disable()
-
-
-def test_heartbeat_loss_detected_without_task_timeout():
-    obs.enable()
-    try:
-        runner = ParallelRunner(
-            jobs=2,
-            retries=1,
-            timeout=None,  # only the heartbeat monitor can catch this
-            heartbeat_timeout=1.0,
-            backoff=FAST,
-            faults=FaultConfig(hang=1.0, seed=3, times=1, hang_seconds=60.0),
-        )
-        assert runner.map(_double, [1, 2, 3]) == clean(2)
-        snap = obs.metrics().snapshot()
-        assert snap["parallel.heartbeat_lost"] == 3
-        assert "parallel.failures" not in snap
-    finally:
-        obs.disable()
-
-
-def test_serial_hang_degrades_to_immediate_retry():
-    runner = ParallelRunner(
-        jobs=1,
-        retries=1,
-        backoff=FAST,
-        faults=FaultConfig(hang=1.0, seed=3, times=1, hang_seconds=60.0),
-    )
-    started = time.monotonic()
-    assert runner.map(_double, [1, 2, 3]) == clean(1)
-    assert time.monotonic() - started < 10.0  # no sleep in-parent
-
-
-def test_real_worker_death_respawns_and_retries(tmp_path):
-    obs.enable()
-    try:
-        runner = ParallelRunner(jobs=2, retries=1, backoff=FAST)
-        # Two tasks: a single task would short-circuit onto the serial
-        # path, where _exit_once's os._exit would kill pytest itself.
-        flags = [str(tmp_path / "died-once-a"), str(tmp_path / "died-once-b")]
-        assert runner.map(_exit_once, flags) == ["recovered", "recovered"]
-        assert obs.metrics().snapshot()["parallel.worker_deaths"] == 2
-    finally:
-        obs.disable()
-
-
-def test_real_worker_death_without_retries_is_a_failure(tmp_path):
-    runner = ParallelRunner(jobs=2, backoff=FAST)
-    flag = str(tmp_path / "died-terminal")
-    # jobs=2 with a single task would short-circuit serially (os._exit
-    # would kill the test process!), so give it two tasks.
-    results = runner.map_settled(_exit_once, [flag, flag + "-other"])
-    dead = [r for r in results if isinstance(r, FailedCell)]
-    assert dead and all("WorkerCrash" in cell.error for cell in dead)
-
-
-# -- env-var defaults --------------------------------------------------------
-
-
-def test_retries_and_timeout_default_from_env(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRIES", "3")
-    monkeypatch.setenv("REPRO_TIMEOUT", "12.5")
-    runner = ParallelRunner(jobs=1)
-    assert runner.retries == 3
-    assert runner.timeout == 12.5
-    monkeypatch.delenv("REPRO_RETRIES")
-    monkeypatch.delenv("REPRO_TIMEOUT")
-    runner = ParallelRunner(jobs=1)
-    assert runner.retries == 0
-    assert runner.timeout is None
-    # Explicit arguments beat the environment.
-    monkeypatch.setenv("REPRO_RETRIES", "3")
-    assert ParallelRunner(jobs=1, retries=1).retries == 1
+    dropped = Session(scale="test", cache=False, jobs=2)
+    dropped.runner().map(_double, [1, 2, 3])
+    assert len(multiprocessing.active_children()) == 2
+    del dropped
+    gc.collect()
+    assert multiprocessing.active_children() == []

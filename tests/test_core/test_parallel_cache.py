@@ -187,19 +187,14 @@ def test_session_uses_cache(tmp_path):
 # -- failure semantics -------------------------------------------------------
 
 
-def _fail_task(task):
-    """Module-level worker that always raises (picklable under fork)."""
-    raise ValueError(f"synthetic failure for {task}")
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_worker_failure_carries_task_identity(jobs):
     from repro.core.parallel import WorkerTaskError, _characterize_task
 
-    runner = ParallelRunner(jobs=jobs)
-    tasks = [("nosuch", "test", 0, 1000), ("alsonot", "test", 7, 1000)]
-    with pytest.raises(WorkerTaskError) as info:
-        runner.map(_characterize_task, tasks)
+    tasks = [("nosuch", "test", 0, 1000, None), ("alsonot", "test", 7, 1000, None)]
+    with ParallelRunner(jobs=jobs) as runner:
+        with pytest.raises(WorkerTaskError) as info:
+            runner.map(_characterize_task, tasks)
     err = info.value
     # The failing workload and seed are in the error, not a bare pool
     # traceback.
@@ -208,26 +203,6 @@ def test_worker_failure_carries_task_identity(jobs):
     assert err.exc_type == "KeyError"
     assert "nosuch" in str(err)
     assert "Traceback" in err.worker_traceback
-    assert err.attempts == 1
-
-
-def test_retries_rerun_and_count_attempts():
-    from repro import obs
-    from repro.core.parallel import WorkerTaskError
-
-    obs.enable()
-    try:
-        runner = ParallelRunner(jobs=1, retries=2)
-        with pytest.raises(WorkerTaskError) as info:
-            runner.map(_fail_task, [("a",)])
-        assert info.value.attempts == 3  # 1 initial + 2 retries
-        snap = obs.metrics().snapshot()
-        assert snap["parallel.retries"] == 2
-        assert snap["parallel.failures"] == 1
-        names = [r.name for r in obs.get_tracer().drain()]
-        assert names.count("parallel.retry") == 2
-    finally:
-        obs.disable()
 
 
 def test_successful_map_has_no_failure_counters():

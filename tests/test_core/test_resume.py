@@ -4,11 +4,21 @@ import json
 
 from repro import obs
 from repro.core import experiments as E
-from repro.core.faults import FaultConfig
-from repro.core.parallel import BackoffPolicy, FailedCell, ParallelRunner
+from repro.core import parallel
+from repro.core.parallel import FailedCell
 from repro.core.resume import SweepCheckpoint, sweep_fingerprint
 
-FAST = BackoffPolicy(base=0.001, cap=0.002)
+_real_evaluate_task = parallel._evaluate_task
+
+#: The cells the interrupted first pass fails on.
+_FAILING = ("hmmsearch", "predator")
+
+
+def _evaluate_fails_on_some(task):
+    """Module-level, so fork workers resolve it by reference."""
+    if task[0] in _FAILING:
+        raise RuntimeError(f"synthetic failure for {task[0]}")
+    return _real_evaluate_task(task)
 
 
 def test_sweep_fingerprint_is_stable_and_parameter_sensitive():
@@ -75,33 +85,28 @@ def test_open_for_none_disables_checkpointing(tmp_path):
 # -- the real consumer: table8_runtimes ---------------------------------------
 
 
-def test_table8_checkpoint_resume_round_trip(tmp_path):
+def test_table8_checkpoint_resume_round_trip(tmp_path, monkeypatch):
     """An interrupted sweep resumes from the checkpoint, runs only the
     missing cells, and ends bit-identical to a clean uninterrupted run."""
     path = str(tmp_path / "table8.jsonl")
     clean = E.table8_runtimes(scale="test", seed=0, platform_keys=("alpha",))
     assert clean and not any(isinstance(r, FailedCell) for r in clean)
 
-    # First pass: unmaskable injected crashes fail some cells; the
-    # successes stream into the checkpoint as they settle.
-    faulty = ParallelRunner(
-        jobs=1, backoff=FAST, faults=FaultConfig(crash=0.5, seed=3, times=99)
-    )
-    partial = E.table8_runtimes(
-        scale="test",
-        seed=0,
-        platform_keys=("alpha",),
-        runner=faulty,
-        checkpoint=path,
-    )
+    # First pass: a raising task fails some cells; the successes stream
+    # into the checkpoint as they settle.
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "_evaluate_task", _evaluate_fails_on_some)
+        partial = E.table8_runtimes(
+            scale="test", seed=0, platform_keys=("alpha",), checkpoint=path
+        )
     failed = sum(1 for r in partial if isinstance(r, FailedCell))
-    assert 0 < failed < len(partial)  # genuinely interrupted mid-sweep
+    assert failed == len(_FAILING) < len(partial)  # interrupted mid-sweep
     # The file holds exactly the successful cells: FailedCell markers
     # are never checkpointed (they must rerun on resume).
     with open(path, encoding="utf-8") as handle:
         assert sum(1 for _ in handle) == len(partial) - failed
 
-    # Second pass: same sweep, no faults — only the missing cells run.
+    # Second pass: same sweep, healthy task — only the missing cells run.
     obs.enable()
     try:
         resumed = E.table8_runtimes(

@@ -261,7 +261,9 @@ REQUIRED_ANCHORS = {
         "X-Repro-Request-Id", "--access-log", "--flightrec-dir",
         "--no-telemetry", "format=prometheus", "coalesced_into",
     ],
-    os.path.join("docs", "robustness.md"): ["--faults", "FailedCell"],
+    os.path.join("docs", "robustness.md"): [
+        "FailedCell", "WorkerCrash", "--checkpoint", "quarantine",
+    ],
     os.path.join("docs", "performance.md"): ["--backend"],
     os.path.join("docs", "observability.md"): [
         "--trace", "bench compare", "X-Repro-Request-Id",

@@ -3,11 +3,15 @@
 The contract under test: a failing request degrades to an error
 envelope for *that request* — the server keeps answering.  A stub
 session drives the timing-sensitive cases deterministically; the
-worker-crash case runs the real engine with injected faults.
+crash cases run the real engine with a task that raises, or that
+SIGKILLs its worker process.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import signal
 import threading
 import time
 from types import SimpleNamespace
@@ -15,12 +19,28 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import RunConfig
-from repro.core import faults as faults_mod
+from repro.core import parallel
 from repro.serve import (
     CharacterizationService,
     ServiceClient,
     ServicePolicy,
 )
+
+#: The test process itself: the killing task only ever kills a worker.
+PARENT_PID = os.getpid()
+_real_characterize_task = parallel._characterize_task
+
+
+def _characterize_raises(task):
+    """Module-level, so fork workers resolve it by reference."""
+    raise RuntimeError(f"synthetic crash for {task[0]}")
+
+
+def _characterize_kills_worker_on_fasta(task):
+    """A real worker death (as from the OOM killer) for one workload."""
+    if task[0] == "fasta" and os.getpid() != PARENT_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_characterize_task(task)
 
 
 class StubSession:
@@ -65,6 +85,24 @@ def _evaluation(workload, platform):
 
 def _service(session, policy):
     return CharacterizationService(session=session, policy=policy)
+
+
+def _concurrent(client, requests):
+    """Issue ``(workload, request_id)`` characterize requests at once,
+    so they land in one batch window; responses keyed by request ID."""
+    results = {}
+
+    def issue(workload, rid):
+        results[rid] = client.request(
+            {"kind": "characterize", "workload": workload}, request_id=rid
+        )
+
+    threads = [threading.Thread(target=issue, args=pair) for pair in requests]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    return results
 
 
 class TestDeadlines:
@@ -194,28 +232,70 @@ class TestBackpressure:
 
 
 class TestWorkerCrash:
-    def test_injected_crash_is_a_request_error_not_a_server_crash(self):
+    def test_injected_crash_is_a_request_error_not_a_server_crash(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(parallel, "_characterize_task", _characterize_raises)
         svc = CharacterizationService(
-            config=RunConfig(
-                scale="test",
-                jobs=2,
-                cache=False,
-                keep_workers=True,
-                retries=0,
-                faults=faults_mod.FaultConfig.from_spec("crash=1.0,seed=7"),
-            )
+            config=RunConfig(scale="test", jobs=2, cache=False)
         )
         try:
             client = ServiceClient(svc)
             status, body = client.characterize("hmmsearch")
             assert status == 502
             assert body["error"]["code"] == "task_failed"
-            # the server survived the crashing worker
+            assert "synthetic crash for hmmsearch" in body["error"]["message"]
+            # the server survived the crashing task
             assert client.healthz()[0] == 200
             _, metrics_body = client.metrics()
             assert metrics_body["metrics"].get("serve.task_failures", 0) >= 1
         finally:
             svc.close()
+
+    def test_worker_death_fails_only_its_request(self, monkeypatch, tmp_path):
+        """jobs=2, a two-run batch, one worker SIGKILLed: that request
+        alone gets 502 with its request ID and a flight-recorder dump;
+        its batch sibling and the next requests get 200."""
+        monkeypatch.setattr(
+            parallel, "_characterize_task", _characterize_kills_worker_on_fasta
+        )
+        dump_dir = str(tmp_path / "flightrec")
+        svc = CharacterizationService(
+            config=RunConfig(scale="test", jobs=2, cache=False),
+            policy=ServicePolicy(batch_window_s=0.2),
+            flightrec_dir=dump_dir,
+        )
+        try:
+            client = ServiceClient(svc)
+            results = _concurrent(
+                client, (("fasta", "req-doomed"), ("hmmsearch", "req-sibling"))
+            )
+            status, body = results["req-doomed"]
+            assert status == 502
+            assert body["error"]["code"] == "task_failed"
+            assert "WorkerCrash" in body["error"]["message"]
+            assert body["request_id"] == "req-doomed"
+            assert results["req-sibling"][0] == 200
+            # The replaced worker and its twin serve the next batch.
+            after = _concurrent(
+                client, (("blast", "req-next-1"), ("clustalw", "req-next-2"))
+            )
+            assert {status for status, _ in after.values()} == {200}
+            _, health = client.healthz()
+            assert [w["alive"] for w in health["workers"]] == [True, True]
+            _, metrics_body = client.metrics()
+            assert metrics_body["metrics"]["parallel.worker_deaths"] == 1
+        finally:
+            svc.close()
+        dumps = []
+        for name in sorted(os.listdir(dump_dir)):
+            with open(os.path.join(dump_dir, name)) as handle:
+                dumps.append(json.load(handle))
+        assert any(
+            dump["reason"] == "worker-death"
+            and dump["context"]["request_id"] == "req-doomed"
+            for dump in dumps
+        ), [dump["reason"] for dump in dumps]
 
     def test_internal_engine_error_is_contained(self):
         def broken(_workload, _platform, _scale):
@@ -249,8 +329,7 @@ class TestHttpDoor:
             port = probe.getsockname()[1]
 
         svc = CharacterizationService(
-            config=RunConfig(scale="test", jobs=1, keep_workers=True,
-                             cache=False)
+            config=RunConfig(scale="test", jobs=1, cache=False)
         )
         loop = asyncio.new_event_loop()
         bound = threading.Event()

@@ -26,7 +26,7 @@ from repro.serve.protocol import canonical_json, characterization_payload
 @pytest.fixture(scope="module")
 def service():
     svc = CharacterizationService(
-        config=RunConfig(scale="test", jobs=2, keep_workers=True, cache=False)
+        config=RunConfig(scale="test", jobs=2, cache=False)
     )
     yield svc
     svc.close()
@@ -69,7 +69,7 @@ class TestSingleFlight:
         # while followers attach, making the single-flight attach
         # deterministic instead of racing the engine.
         svc = CharacterizationService(
-            config=RunConfig(scale="test", jobs=1, keep_workers=True, cache=False),
+            config=RunConfig(scale="test", jobs=1, cache=False),
             policy=ServicePolicy(batch_window_s=0.3),
         )
         try:
