@@ -33,8 +33,8 @@ def sweep():
     return rows
 
 
-def test_ablation_l1_latency(benchmark, publish):
-    rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
+def test_ablation_l1_latency(publish):
+    rows = sweep()
     publish(
         "ablation_latency",
         format_table(
@@ -42,7 +42,6 @@ def test_ablation_l1_latency(benchmark, publish):
             [[lat, pct(s)] for lat, s in rows],
             title="Ablation: load-transform speedup vs L1 hit latency (Alpha model)",
         ),
-        rows=[{"l1_hit_latency": lat, "speedup": s} for lat, s in rows],
     )
     speedups = dict(rows)
     # More latency to hide -> more benefit from hiding it.

@@ -63,8 +63,8 @@ def sweep():
     return rows
 
 
-def test_ablation_branch_predictor(benchmark, publish):
-    rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
+def test_ablation_branch_predictor(publish):
+    rows = sweep()
     publish(
         "ablation_predictor",
         format_table(
@@ -72,10 +72,6 @@ def test_ablation_branch_predictor(benchmark, publish):
             [[label, pct(misp), pct(s)] for label, misp, s in rows],
             title="Ablation: speedup vs branch predictor quality (Alpha model)",
         ),
-        rows=[
-            {"predictor": label, "baseline_misprediction": misp, "speedup": s}
-            for label, misp, s in rows
-        ],
     )
     by_label = {label: s for label, _, s in rows}
     # Mispredictions are the enabling condition: a perfect predictor

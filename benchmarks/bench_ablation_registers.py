@@ -33,8 +33,8 @@ def sweep():
     return rows
 
 
-def test_ablation_register_pressure(benchmark, publish):
-    rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
+def test_ablation_register_pressure(publish):
+    rows = sweep()
     publish(
         "ablation_registers",
         format_table(
@@ -42,7 +42,6 @@ def test_ablation_register_pressure(benchmark, publish):
             [[n, pct(s)] for n, s in rows],
             title="Ablation: load-transform speedup vs register count (Alpha model)",
         ),
-        rows=[{"int_registers": n, "speedup": s} for n, s in rows],
     )
     speedups = dict(rows)
     # The paper's register-pressure story: a scarce register file eats

@@ -40,8 +40,8 @@ def sweep():
     return rows
 
 
-def test_ablation_unrolling(benchmark, publish):
-    rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
+def test_ablation_unrolling(publish):
+    rows = sweep()
     publish(
         "ablation_unroll",
         format_table(
@@ -49,15 +49,6 @@ def test_ablation_unrolling(benchmark, publish):
             [[f, o, t, pct(s)] for f, o, t, s in rows],
             title="Ablation: transformation benefit under compiler loop unrolling",
         ),
-        rows=[
-            {
-                "unroll_factor": f,
-                "original_cycles": o,
-                "transformed_cycles": t,
-                "speedup": s,
-            }
-            for f, o, t, s in rows
-        ],
     )
     # The transformation keeps paying even when the compiler unrolls:
     # unrolling cannot move the loads above the hard branches.

@@ -44,10 +44,8 @@ def sweep():
     return tool, baseline, with_lvp, transformed
 
 
-def test_ablation_value_prediction(benchmark, publish):
-    tool, baseline, with_lvp, transformed = benchmark.pedantic(
-        sweep, iterations=1, rounds=1
-    )
+def test_ablation_value_prediction(publish):
+    tool, baseline, with_lvp, transformed = sweep()
     lvp_speedup = baseline.cycles / with_lvp.cycles - 1
     sw_speedup = baseline.cycles / transformed.cycles - 1
     rows = [
@@ -69,20 +67,7 @@ def test_ablation_value_prediction(benchmark, publish):
         ["", "value predictability of the hottest loads:"]
         + [f"  {row}" for row in tool.rows(top=8)]
     )
-    publish(
-        "ablation_valuepred",
-        table + predictability,
-        rows=[
-            {"configuration": "original", "cycles": baseline.cycles},
-            {
-                "configuration": "original+lvp",
-                "cycles": with_lvp.cycles,
-                "value_coverage": with_lvp.value_coverage,
-                "value_accuracy": with_lvp.value_accuracy,
-            },
-            {"configuration": "load-transformed", "cycles": transformed.cycles},
-        ],
-    )
+    publish("ablation_valuepred", table + predictability)
 
     # The overall value predictability is partial, and the software
     # transformation beats the hardware predictor on this workload.

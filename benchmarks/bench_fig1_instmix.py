@@ -8,16 +8,9 @@ class in every program (paper: ~30% on average).
 from repro.core import experiments as E
 
 
-def test_figure1_instruction_mix(benchmark, context, publish):
-    rows = benchmark.pedantic(
-        lambda: E.figure1_instruction_mix(context), iterations=1, rounds=1
-    )
-    publish(
-        "figure1_instmix",
-        E.render_figure1(rows),
-        rows=rows,
-        instructions=sum(r.instructions for r in rows),
-    )
+def test_figure1_instruction_mix(context, publish):
+    rows = E.figure1_instruction_mix(context)
+    publish("figure1_instmix", E.render_figure1(rows))
 
     for row in rows:
         assert row.loads > 0.05, f"{row.workload}: loads should be significant"

@@ -2,24 +2,22 @@
 
 The paper's headline characterization: ~80 static loads cover >90% of
 the dynamic loads of the BioPerf codes, while the same 80 cover only
-10-58% for SPEC CPU2000 integer codes.  The benchmark regenerates the
+10-58% for SPEC CPU2000 integer codes.  This script regenerates the
 coverage curves and checks the separation.
 """
 
 from repro.core import experiments as E
 
 
-def test_figure2_load_coverage(benchmark, context, publish):
-    rows = benchmark.pedantic(
-        lambda: E.figure2_coverage(context), iterations=1, rounds=1
-    )
+def test_figure2_load_coverage(context, publish):
+    rows = E.figure2_coverage(context)
     text = E.render_figure2(rows)
     # Also emit the curves as CSV-ish series for plotting.
     series_lines = ["", "curve points (coverage after k static loads):"]
     for row in rows:
         points = ", ".join(f"{v:.3f}" for v in row.curve[:100])
         series_lines.append(f"{row.workload:10s} [{points}]")
-    publish("figure2_coverage", text + "\n" + "\n".join(series_lines), rows=rows)
+    publish("figure2_coverage", text + "\n" + "\n".join(series_lines))
 
     bioperf = [r for r in rows if r.suite == "BioPerf"]
     spec = [r for r in rows if r.suite == "SPEC"]

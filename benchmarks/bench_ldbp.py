@@ -3,48 +3,17 @@
 Table 4 measures the problem (hot loads feeding hard-to-predict
 branches); the LDBP column answers it: for every workload, how much of
 the >=5%-misprediction branch population does a load-driven branch
-predictor (arXiv:2009.09064) pull back under the threshold, and what
-does the extra per-branch bookkeeping cost.
-
-Emits ``BENCH_ldbp.json`` with the per-workload rows plus the scalars
-the regression gate reads (``ldbp_reclaimed_fraction``,
-``ldbp_overhead_ns_per_branch``); see docs/branch-prediction.md.
+predictor (arXiv:2009.09064) pull back under the threshold.  The same
+bar is asserted in tier-1 at ``small`` scale
+(``tests/test_core/test_experiments.py``); see
+docs/branch-prediction.md.
 """
 
-import random
-import time
-
-from repro.branch import Hybrid, LoadDrivenBranchPredictor
 from repro.core import experiments as E
 
-#: Synthetic stream length for the overhead microbenchmark.  The
-#: stream is branch-only, so the measured delta is the predictor's
-#: *per-branch* cost floor (taint/stride bookkeeping on loads rides on
-#: load events and is measured by the study itself).
-OVERHEAD_BRANCHES = 200_000
 
-
-def _ns_per_branch(predictor) -> float:
-    rng = random.Random(7)
-    stream = [
-        (rng.randrange(16), rng.random() < 0.3)
-        for _ in range(OVERHEAD_BRANCHES)
-    ]
-    access = predictor.access
-    started = time.perf_counter()
-    for sid, taken in stream:
-        access(sid, taken)
-    wall = time.perf_counter() - started
-    return wall * 1e9 / OVERHEAD_BRANCHES
-
-
-def test_ldbp_reclamation(benchmark, context, publish):
-    rows = benchmark.pedantic(
-        lambda: E.ldbp_reclamation(context), iterations=1, rounds=1
-    )
-
-    hybrid_ns = _ns_per_branch(Hybrid(aliased=False))
-    ldbp_ns = _ns_per_branch(LoadDrivenBranchPredictor())
+def test_ldbp_reclamation(context, publish):
+    rows = E.ldbp_reclamation(context)
 
     hard = sum(r.hard_branches for r in rows)
     reclaimed = sum(r.reclaimed_branches for r in rows)
@@ -53,27 +22,12 @@ def test_ldbp_reclamation(benchmark, context, publish):
     fraction = reclaimed / hard if hard else 0.0
     cut = 1.0 - ldbp_misp / base_misp if base_misp else 0.0
 
-    text = E.render_ldbp(rows) + (
-        f"\n\naggregate: {reclaimed}/{hard} hard branches reclaimed"
-        f" ({fraction * 100:.1f}%), mispredictions on the hard"
-        f" population cut {cut * 100:.1f}%"
-        f"\noverhead: ldbp {ldbp_ns:.0f} ns/branch vs hybrid"
-        f" {hybrid_ns:.0f} ns/branch"
-        f" (+{ldbp_ns - hybrid_ns:.0f} ns/branch fallback-path cost)"
-    )
     publish(
         "ldbp",
-        text,
-        rows=rows,
-        extra={
-            "ldbp_hard_branches": hard,
-            "ldbp_reclaimed_branches": reclaimed,
-            "ldbp_reclaimed_fraction": fraction,
-            "ldbp_misprediction_cut": cut,
-            "hybrid_ns_per_branch": hybrid_ns,
-            "ldbp_ns_per_branch": ldbp_ns,
-            "ldbp_overhead_ns_per_branch": ldbp_ns - hybrid_ns,
-        },
+        E.render_ldbp(rows)
+        + f"\n\naggregate: {reclaimed}/{hard} hard branches reclaimed"
+        f" ({fraction * 100:.1f}%), mispredictions on the hard"
+        f" population cut {cut * 100:.1f}%",
     )
 
     # The study must cover the full registry: nine BioPerf programs
@@ -88,9 +42,9 @@ def test_ldbp_reclamation(benchmark, context, publish):
             row.workload
         )
 
-    # Acceptance bar (mirrored by check_regression.py): at least a
-    # third of the hard-to-predict population is reclaimed outright,
-    # and the misprediction mass on that population drops.
+    # Acceptance bar: at least a third of the hard-to-predict
+    # population is reclaimed outright, and the misprediction mass on
+    # that population drops.
     assert fraction >= 0.33, fraction
     assert cut > 0.10, cut
 

@@ -37,8 +37,8 @@ def sweep():
     return rows
 
 
-def test_section21_chunking(benchmark, publish):
-    rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
+def test_section21_chunking(publish):
+    rows = sweep()
     publish(
         "sec21_chunking",
         format_table(
@@ -49,17 +49,6 @@ def test_section21_chunking(benchmark, publish):
             ],
             title="Section 2.1: reuse distances (chunking) under a 1024-block L1",
         ),
-        rows=[
-            {
-                "workload": name,
-                "accesses": accesses,
-                "cold_fraction": cold,
-                "within_l1_fraction": within,
-                "median_distance": median,
-                "p90_distance": p90,
-            }
-            for name, accesses, cold, within, median, p90 in rows
-        ],
     )
     for name, _accesses, cold, within, _median, _p90 in rows:
         assert within > 0.9, f"{name}: reuses should fit the L1 chunk"

@@ -8,16 +8,9 @@ comparable and are checked against the paper's ordering.
 from repro.core import experiments as E
 
 
-def test_table1_instruction_counts(benchmark, context, publish):
-    rows = benchmark.pedantic(
-        lambda: E.figure1_instruction_mix(context), iterations=1, rounds=1
-    )
-    publish(
-        "table1_instcounts",
-        E.render_table1(rows),
-        rows=rows,
-        instructions=sum(r.instructions for r in rows),
-    )
+def test_table1_instruction_counts(context, publish):
+    rows = E.figure1_instruction_mix(context)
+    publish("table1_instcounts", E.render_table1(rows))
 
     by_name = {r.workload: r for r in rows}
     # FP ordering per Table 1: promlk >> predator > hmmpfam > the rest.

@@ -9,11 +9,9 @@ hard-to-predict branches, while promlk is the low outlier.
 from repro.core import experiments as E
 
 
-def test_table4_load_sequences(benchmark, context, publish):
-    rows = benchmark.pedantic(
-        lambda: E.table4_sequences(context), iterations=1, rounds=1
-    )
-    publish("table4_sequences", E.render_table4(rows), rows=rows)
+def test_table4_load_sequences(context, publish):
+    rows = E.table4_sequences(context)
+    publish("table4_sequences", E.render_table4(rows))
 
     by_name = {r.workload: r for r in rows}
     # Table 4(a): hmm* and blast are load->branch dominated.

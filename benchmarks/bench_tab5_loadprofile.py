@@ -10,22 +10,14 @@ from repro.core import experiments as E
 from repro.core.candidates import select_candidates
 
 
-def test_table5_hmmsearch_load_profile(benchmark, context, publish):
-    rows = benchmark.pedantic(
-        lambda: E.table5_load_profile(context, "hmmsearch", top=10),
-        iterations=1,
-        rounds=1,
-    )
+def test_table5_hmmsearch_load_profile(context, publish):
+    rows = E.table5_load_profile(context, "hmmsearch", top=10)
     result = context.run("hmmsearch")
     candidates = select_candidates(result)
     candidate_text = "\n".join(
         ["", "Section 3 candidate selection:"] + [f"  {c}" for c in candidates[:12]]
     )
-    publish(
-        "table5_loadprofile",
-        E.render_table5(rows, "hmmsearch") + candidate_text,
-        rows=rows,
-    )
+    publish("table5_loadprofile", E.render_table5(rows, "hmmsearch") + candidate_text)
 
     # Paper Table 5: each hot load covers ~4% of executed loads and
     # almost never misses in L1.

@@ -13,7 +13,7 @@ public surface is re-exported from the subpackages:
 * :mod:`repro.core` — the paper's methodology and experiments,
 * :mod:`repro.valuepred` — the Section 6 value-prediction extension,
 * :mod:`repro.obs` — telemetry: tracing spans, metrics, run
-  manifests, and the benchmark regression gate.
+  manifests, the request access log and the fault flight recorder.
 """
 
 __version__ = "1.0.0"

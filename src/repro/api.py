@@ -518,7 +518,7 @@ class Session:
             get_workload(workload)  # KeyError in the caller, not a worker
             key = platform or "alpha"
             _name, _key, evaluation = parallel._evaluate_task(
-                (workload, key, scale, self.seed)
+                (workload, key, scale, self.seed, self.config.backend)
             )
             return evaluation
         keys = tuple(platforms) if platforms else DEFAULT_PLATFORMS
@@ -529,6 +529,7 @@ class Session:
             runner=self._runner,
             checkpoint=checkpoint,
             strict=strict,
+            backend=self.config.backend,
         )
 
     # -- sweeps --------------------------------------------------------------
@@ -557,6 +558,7 @@ class Session:
             raise ValueError(f"unknown sweep kind {kind!r} (want platform|compiler)")
         kwargs.setdefault("scale", self.scale)
         kwargs.setdefault("seed", self.seed)
+        kwargs.setdefault("backend", self.config.backend)
         return fn(workload, field, values, runner=self._runner, **kwargs)
 
     # -- lifecycle -----------------------------------------------------------

@@ -23,9 +23,7 @@ Commands:
   queries from the stored trace, recording it on first touch;
 * ``trace ls`` — list the stored trace artifacts;
 * ``trace summary FILE`` — render a telemetry trace (JSONL) as a span
-  tree with metrics;
-* ``bench compare`` — diff current ``BENCH_*.json`` results against a
-  baseline directory and fail on throughput regressions.
+  tree with metrics.
 
 Every work-running subcommand (characterize, candidates, evaluate,
 disasm, report) accepts one shared execution flag group —
@@ -338,29 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="run-cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-
-    bench = sub.add_parser("bench", help="benchmark trajectory utilities")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    compare = bench_sub.add_parser(
-        "compare",
-        help="diff BENCH_*.json against a baseline; non-zero exit on regression",
-    )
-    compare.add_argument(
-        "--baseline",
-        default="benchmarks/results",
-        help="directory with the committed baseline BENCH_*.json files",
-    )
-    compare.add_argument(
-        "--current",
-        default="benchmarks/results",
-        help="directory with the freshly produced BENCH_*.json files",
-    )
-    compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="tolerated fractional slowdown before failing (default 0.10)",
     )
 
     return parser
@@ -720,18 +695,6 @@ def _cmd_trace_ls(args) -> None:
     )
 
 
-def _cmd_bench(args) -> None:
-    from repro.obs.regression import compare_dirs, gate, render_comparison
-
-    rows = compare_dirs(args.baseline, args.current, threshold=args.threshold)
-    print(render_comparison(rows, threshold=args.threshold))
-    if not gate(rows):
-        failing = [row.name for row in rows if row.failed]
-        print(f"\nFAIL: perf gate tripped by: {', '.join(failing)}")
-        sys.exit(1)
-    print("\nOK: no regressions against the baseline")
-
-
 def main(argv: Optional[List[str]] = None) -> None:
     args = _build_parser().parse_args(argv)
 
@@ -772,8 +735,6 @@ def main(argv: Optional[List[str]] = None) -> None:
             _cmd_obs_tail(args)
         elif args.command == "trace":
             _cmd_trace(args)
-        elif args.command == "bench":
-            _cmd_bench(args)
     finally:
         if trace_path is not None:
             from repro import obs

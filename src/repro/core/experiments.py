@@ -468,7 +468,7 @@ class RuntimeRow:
     paper_speedup: Optional[float]
 
 
-def _cell_key(task: Tuple[str, str, str, int]) -> str:
+def _cell_key(task: Tuple) -> str:
     """Checkpoint key of one evaluation cell (workload:platform)."""
     return f"{task[0]}:{task[1]}"
 
@@ -487,6 +487,7 @@ def table8_runtimes(
     runner=None,
     checkpoint: Optional[str] = None,
     strict: bool = False,
+    backend: Optional[str] = None,
 ) -> List:
     """Table 8: original vs transformed cycles per amenable program and
     platform (the paper reports seconds; cycles are the simulator
@@ -503,13 +504,17 @@ def table8_runtimes(
     instead of raising) unless ``strict=True``.  ``checkpoint`` names a
     JSONL file: completed cells stream into it as they settle, and a
     rerun with the same sweep parameters loads them back and runs only
-    the missing cells.
+    the missing cells.  ``backend`` picks the execution engine (None:
+    the ambient one); engines are bit-identical, so checkpointed cells
+    resume across backends.
     """
     from repro.core.parallel import FailedCell, ParallelRunner, _evaluate_task
     from repro.core.resume import SweepCheckpoint, sweep_fingerprint
 
     names = [spec.name for spec in amenable_workloads()]
-    tasks = [(name, key, scale, seed) for key in platform_keys for name in names]
+    tasks = [
+        (name, key, scale, seed, backend) for key in platform_keys for name in names
+    ]
     store = SweepCheckpoint.open_for(
         checkpoint,
         sweep_fingerprint("table8", scale, seed, tuple(platform_keys), tuple(names)),

@@ -106,15 +106,19 @@ def _characterize_task(task: Tuple) -> Tuple[str, CharacterizationResult]:
     return name, result
 
 
-def _evaluate_task(task: Tuple[str, str, str, int]):
-    """One original-vs-transformed evaluation on one platform."""
-    name, platform_key, scale, seed = task
+def _evaluate_task(task: Tuple):
+    """One original-vs-transformed evaluation on one platform:
+    ``(name, platform_key, scale, seed, backend)``, backend None meaning
+    the ambient one."""
+    name, platform_key, scale, seed, backend = task
     from repro.core.pipeline import evaluate_workload
     from repro.cpu.platforms import PLATFORMS
 
     platform = PLATFORMS[platform_key]
     spec = get_workload(name)
-    return name, platform_key, evaluate_workload(spec, platform, scale=scale, seed=seed)
+    return name, platform_key, evaluate_workload(
+        spec, platform, scale=scale, seed=seed, backend=backend
+    )
 
 
 _TASK_FORMATS = {

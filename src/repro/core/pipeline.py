@@ -51,12 +51,14 @@ def run_timed(
     scale: str = "medium",
     seed: int = 0,
     alias_model: str = "may-alias",
+    backend: Optional[str] = None,
 ) -> TimingResult:
-    """Compile one variant for ``platform`` and time it."""
+    """Compile one variant for ``platform`` and time it on ``backend``
+    (None: the ambient one, see :mod:`repro.exec.backends`)."""
     options = platform.compiler_options(alias_model=alias_model)
     program = spec.program(transformed=transformed, options=options)
     model = make_timing_model(platform)
-    interp = make_interpreter(program, spec.dataset(scale, seed))
+    interp = make_interpreter(program, spec.dataset(scale, seed), backend=backend)
     interp.run(consumers=(model,))
     return model.result()
 
@@ -67,10 +69,11 @@ def evaluate_workload(
     scale: str = "medium",
     seed: int = 0,
     alias_model: str = "may-alias",
+    backend: Optional[str] = None,
 ) -> EvaluationResult:
     """Time original and transformed variants on one platform."""
-    original = run_timed(spec, platform, False, scale, seed, alias_model)
-    transformed = run_timed(spec, platform, True, scale, seed, alias_model)
+    original = run_timed(spec, platform, False, scale, seed, alias_model, backend)
+    transformed = run_timed(spec, platform, True, scale, seed, alias_model, backend)
     return EvaluationResult(
         workload=spec.name,
         platform=platform.name,

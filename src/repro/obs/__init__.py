@@ -11,10 +11,8 @@ our own stack so a characterization run is never a black box:
   hits/misses, worker utilization);
 * :mod:`repro.obs.sinks` — JSONL trace export plus the ``repro trace
   summary`` tree renderer;
-* :mod:`repro.obs.manifest` — run provenance written next to results
+* :mod:`repro.obs.manifest` — run provenance attached to results
   (config fingerprint shared with the run cache, git rev, platform);
-* :mod:`repro.obs.regression` — the ``repro bench compare`` /
-  ``benchmarks/check_regression.py`` perf gate over ``BENCH_*.json``;
 * :mod:`repro.obs.context` — request-scoped trace-context propagation
   (the ambient request ID every span inherits, across processes);
 * :mod:`repro.obs.accesslog` — the structured one-record-per-request
@@ -28,7 +26,7 @@ Telemetry is off by default and the off path is a no-op: ``span()``
 returns a shared inert span and ``metrics()`` a registry that discards
 updates, so instrumented hot paths cost nothing until :func:`enable`
 is called (the CLI's ``--trace`` flag or ``REPRO_TRACE=1`` for the
-benchmark harness).
+paper-table regenerators in ``benchmarks/``).
 """
 
 from __future__ import annotations

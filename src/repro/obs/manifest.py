@@ -1,8 +1,8 @@
 """Run provenance manifests.
 
-A manifest is a small JSON document written next to every
-characterization result and ``BENCH_*.json`` answering "what exactly
-produced this file?": the run's config fingerprint (the **same**
+A manifest is a small JSON document answering "what exactly produced
+this characterization result?" (``repro serve`` attaches one to every
+``/runs/`` record): the run's config fingerprint (the **same**
 fingerprint :mod:`repro.core.runcache` keys the run cache with — one
 source of truth, so a manifest and a cache entry can never disagree
 about identity), the git revision, interpreter and platform versions,
@@ -10,13 +10,12 @@ the dataset seed, the tool list, and the run's timings.
 
 The paper's tables are only comparable because every number states its
 configuration (Table 3's cache, Table 7's platforms); manifests apply
-the same discipline to our own artifacts so a BENCH json from three
-PRs ago is still attributable.
+the same discipline to our own artifacts so a served result stays
+attributable long after it was computed.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
@@ -28,9 +27,7 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
     "git_revision",
-    "manifest_path_for",
     "run_manifest",
-    "write_manifest",
 ]
 
 #: Bump when the manifest layout changes incompatibly.
@@ -63,15 +60,13 @@ def build_manifest(
     config: Optional[Mapping[str, Any]] = None,
     tools: Optional[Sequence[str]] = None,
     timings: Optional[Mapping[str, float]] = None,
-    extra: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble a manifest dict.
 
-    ``kind`` names what the manifest describes (``"characterization"``,
-    ``"benchmark"``, ...); ``config`` is the flat run configuration
-    (workload, scale, seed, jobs, ...); ``timings`` maps phase names to
-    seconds.  Environment provenance (git rev, python, platform) is
-    filled in here.
+    ``kind`` names what the manifest describes (``"characterization"``);
+    ``config`` is the flat run configuration (workload, scale, seed,
+    jobs, ...); ``timings`` maps phase names to seconds.  Environment
+    provenance (git rev, python, platform) is filled in here.
     """
     manifest: Dict[str, Any] = {
         "schema": MANIFEST_SCHEMA,
@@ -91,8 +86,6 @@ def build_manifest(
         manifest["tools"] = list(tools)
     if timings is not None:
         manifest["timings_s"] = {k: float(v) for k, v in timings.items()}
-    if extra:
-        manifest.update(extra)
     return manifest
 
 
@@ -133,19 +126,3 @@ def run_manifest(
         tools=STANDARD_TOOLS,
         timings=timings,
     )
-
-
-def manifest_path_for(result_path: str) -> str:
-    """Sibling manifest path for a result file (``x.json`` → ``x.manifest.json``)."""
-    base, ext = os.path.splitext(result_path)
-    if ext == ".json":
-        return base + ".manifest.json"
-    return result_path + ".manifest.json"
-
-
-def write_manifest(path: str, manifest: Mapping[str, Any]) -> str:
-    """Persist a manifest as pretty-printed JSON; returns ``path``."""
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

@@ -131,41 +131,10 @@ def test_trace_env_var(capsys, tmp_path, monkeypatch):
     assert trace_path.exists()
 
 
-def test_bench_compare_pass_and_fail(capsys, tmp_path):
-    import json
-
-    baseline = tmp_path / "baseline"
-    current = tmp_path / "current"
-    baseline.mkdir()
-    current.mkdir()
-    record = {"name": "t", "instructions_per_sec": 1e6, "instructions": 5}
-    (baseline / "BENCH_t.json").write_text(json.dumps(record))
-    (current / "BENCH_t.json").write_text(json.dumps(record))
-
-    main([
-        "bench", "compare",
-        "--baseline", str(baseline), "--current", str(current),
-    ])
-    out = capsys.readouterr().out
-    assert "OK: no regressions" in out
-
-    slow = dict(record, instructions_per_sec=0.8e6)
-    (current / "BENCH_t.json").write_text(json.dumps(slow))
-    with pytest.raises(SystemExit) as info:
-        main([
-            "bench", "compare",
-            "--baseline", str(baseline), "--current", str(current),
-        ])
-    assert info.value.code == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION" in out
-    assert "FAIL: perf gate tripped by: t" in out
-
-
 def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
-    """The deleted ``batched`` backend, cluster flags and retry/timeout/
-    fault-injection inputs are errors naming the value, never a silent
-    fallback."""
+    """The deleted ``batched`` backend, cluster flags, retry/timeout/
+    fault-injection inputs and ``bench`` command are errors naming the
+    value, never a silent fallback."""
     from repro.api import Session
     from repro.exec.backends import resolve_backend
 
@@ -182,6 +151,11 @@ def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
         main(["serve", "--replicas", "2"])
     assert info.value.code == 2
     assert "unrecognized arguments: --replicas 2" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "compare"])
+    assert info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     work_commands = (
         ["characterize", "fasta"], ["candidates", "fasta"], ["evaluate", "--all"],

@@ -1,5 +1,6 @@
 """Integration tests: the experiment entry points produce paper-shaped
-results at test scale (the benchmarks run the same code at full scale)."""
+results at test scale, and the LDBP study meets its bar at small scale
+(the regenerators in benchmarks/ run the same code at small scale)."""
 
 import pytest
 
@@ -128,3 +129,21 @@ def test_table8_and_figure9_smoke():
     }
     assert "Figure 9" in E.render_figure9(summaries)
     assert "Table 8" in E.render_table8(rows)
+
+
+def test_ldbp_reclaims_a_third_of_the_hard_branches_at_small_scale():
+    """The acceleration bar of docs/branch-prediction.md, at the scale
+    the study is published at."""
+    with Session(scale="small", seed=0, cache=False) as session:
+        rows = E.ldbp_reclamation(session)
+    hard = sum(r.hard_branches for r in rows)
+    reclaimed = sum(r.reclaimed_branches for r in rows)
+    base_misp = sum(r.baseline_mispredictions for r in rows)
+    ldbp_misp = sum(r.ldbp_mispredictions for r in rows)
+    assert reclaimed / hard >= 0.33
+    assert 1.0 - ldbp_misp / base_misp > 0.10
+    by_name = {r.workload: r for r in rows}
+    for name in ("hmmsearch", "hmmpfam", "hmmcalibrate", "blast"):
+        assert by_name[name].reclaimed_branches >= 1, name
+    for row in rows:
+        assert row.ldbp_mispredictions <= row.baseline_mispredictions, row.workload

@@ -266,19 +266,20 @@ REQUIRED_ANCHORS = {
     ],
     os.path.join("docs", "performance.md"): ["--backend"],
     os.path.join("docs", "observability.md"): [
-        "--trace", "bench compare", "X-Repro-Request-Id",
+        "--trace", "perfbench/run.py", "X-Repro-Request-Id",
         "format=prometheus", "obs tail", "repro-flightrec-v1",
-        "--max-obs-overhead",
+        "serve `wall_s`",
     ],
     os.path.join("docs", "parallel.md"): ["--jobs", "cache"],
     os.path.join("docs", "traces.md"): [
         "Session", "analyze", "trace record", "trace replay", "trace ls",
         "--tools", "/v1/analyze", 'tool_config="trace"',
-        "bench_trace_replay", "ldbp",
+        "test_differential.py", "ldbp",
     ],
     os.path.join("docs", "branch-prediction.md"): [
         "make_predictor", "access_branch", "precompute_coverage",
-        "--platform ldbp", "bench_ldbp", "--min-ldbp-reclaimed",
+        "--platform ldbp", "bench_ldbp",
+        "test_ldbp_reclaims_a_third_of_the_hard_branches_at_small_scale",
         "needs_values=True", "arXiv:2009.09064",
     ],
     os.path.join("docs", "timing-model.md"): [

@@ -1,18 +1,13 @@
 """Run manifests: provenance fields and the one-source-of-truth fingerprint."""
 
-import json
-
 from repro.api import Session
 from repro.core.runcache import workload_fingerprint
 from repro.exec.backends import resolve_backend
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     STANDARD_TOOLS,
-    build_manifest,
     git_revision,
-    manifest_path_for,
     run_manifest,
-    write_manifest,
 )
 
 
@@ -57,15 +52,3 @@ def test_run_manifest_contents():
 def test_git_revision_in_this_checkout():
     rev = git_revision()
     assert rev is None or (len(rev) == 40 and all(c in "0123456789abcdef" for c in rev))
-
-
-def test_manifest_path_for():
-    assert manifest_path_for("out/BENCH_x.json") == "out/BENCH_x.manifest.json"
-    assert manifest_path_for("out/table.txt") == "out/table.txt.manifest.json"
-
-
-def test_write_manifest_round_trips(tmp_path):
-    manifest = build_manifest(kind="benchmark", config={"benchmark": "b"})
-    path = write_manifest(str(tmp_path / "m.json"), manifest)
-    loaded = json.loads(open(path).read())
-    assert loaded == json.loads(json.dumps(manifest))

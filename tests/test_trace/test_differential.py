@@ -17,10 +17,14 @@ from repro.atom.registry import payloads, resolve_tools, tool_names
 from repro.exec.compiled import CompiledInterpreter
 from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 from repro.trace import record_trace, replay_tools
+from repro.trace import replay as replay_module
 from repro.workloads.registry import all_workloads, get_workload, spec_workloads
 
 SCALE = "test"
 SEED = 0
+
+#: The tools replay answers without walking the trace.
+COUNT_TIER = ("mix", "coverage")
 
 #: All nine BioPerf kernels plus the three SPEC-like contrast kernels.
 WORKLOADS = [w.name for w in all_workloads()] + [
@@ -51,8 +55,12 @@ def _direct(spec):
     return payloads(tools), interp.executed
 
 
+def _no_decoding(*_args):
+    raise AssertionError("count-tier replay decoded the trace")
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_replay_matches_direct_execution_bit_for_bit(name):
+def test_replay_matches_direct_execution_bit_for_bit(name, monkeypatch):
     spec, program, artifact = _record(name)
     assert artifact is not None, f"{name} must be traceable at scale test"
 
@@ -67,6 +75,16 @@ def test_replay_matches_direct_execution_bit_for_bit(name):
         assert replayed[tool] == expected[tool], tool
         # repr distinguishes bool from int and pins dict order.
         assert repr(replayed[tool]) == repr(expected[tool]), tool
+
+    # The count tier answers from per-site counts alone, in
+    # O(static program): it decodes no column and no block sequence.
+    monkeypatch.setattr(replay_module, "decode_column", _no_decoding)
+    monkeypatch.setattr(replay_module, "decode_blockseq", _no_decoding)
+    counted = resolve_tools(COUNT_TIER)
+    replay_tools(artifact, program, counted)
+    counted = payloads(counted)
+    for tool in COUNT_TIER:
+        assert repr(counted[tool]) == repr(expected[tool]), tool
 
 
 def test_every_workload_is_covered():

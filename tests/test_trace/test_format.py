@@ -106,6 +106,14 @@ class TestArtifact:
         )
         assert artifact.nbytes() > 0
 
+    def test_promlk_artifact_stays_within_one_byte_per_instruction(self):
+        # promlk is the most branch-dense program, so the worst case for
+        # outcome columns.  The bar is set at small scale: at test scale
+        # the fixed per-site cost dominates a ~2,700-instruction run.
+        spec = get_workload("promlk")
+        artifact = record_trace(spec.program(), spec.dataset("small", 0))
+        assert artifact.nbytes() / artifact.executed <= 1.0
+
     def test_site_counts_are_consistent(self):
         # Every branch's taken count is bounded by its dynamic count,
         # and each block's first site runs exactly entries[bi] times.
