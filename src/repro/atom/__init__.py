@@ -10,7 +10,6 @@ tools in a single pass.
 
 from repro.atom.branchprofile import BranchProfile
 from repro.atom.coverage import LoadCoverage
-from repro.atom.fused import FusedStandardTools
 from repro.atom.instmix import InstructionMix
 from repro.atom.ldbp import LdbpReclamation, ReclamationRow
 from repro.atom.loadprofile import CacheSim
@@ -26,15 +25,13 @@ from repro.atom.registry import (
 from repro.atom.reuse import ReuseDistance
 from repro.atom.runner import CharacterizationResult, characterize
 from repro.atom.sequences import SequenceProfile
-from repro.atom.tool import AnalysisTool, FilteredTool, TeeTool
+from repro.atom.tool import AnalysisTool
 
 __all__ = [
     "AnalysisTool",
     "BranchProfile",
     "CacheSim",
     "CharacterizationResult",
-    "FilteredTool",
-    "FusedStandardTools",
     "InstructionMix",
     "LdbpReclamation",
     "LoadCoverage",
@@ -42,7 +39,6 @@ __all__ = [
     "ReuseDistance",
     "STANDARD_TOOLS",
     "SequenceProfile",
-    "TeeTool",
     "ToolSpec",
     "characterize",
     "get_tool",

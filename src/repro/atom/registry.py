@@ -3,9 +3,10 @@
 The CLI, the serve layer, and trace replay all accept analysis tools
 *by name*; this module is the single mapping from those names to tool
 factories, so "which tools exist" has one answer everywhere.  The
-standard four-tool characterization set (``repro.atom.fused`` fuses
-exactly these) is ``STANDARD_TOOLS``; the remaining entries are the
-paper's companion analyses (branch/value predictors, reuse distance).
+standard four-tool characterization set (the compiled engine inlines
+exactly these, in their stock configuration) is ``STANDARD_TOOLS``;
+the remaining entries are the paper's companion analyses
+(branch/value predictors, reuse distance).
 
 Every entry also knows how to render its tool's final state as a
 plain-data payload (``tool_payload``) — the JSON-able dict the serve
@@ -185,7 +186,7 @@ register_tool(
 )
 
 #: The standard four-tool characterization set, in the order
-#: :func:`repro.atom.runner.characterize` attaches them; the fused
-#: dispatcher (:mod:`repro.atom.fused`) derives its exact-class tuple
-#: from these entries.
+#: :func:`repro.atom.runner.characterize` attaches them.  The compiled
+#: engine's fused codegen (``repro.exec.compiled._stock_tools``) keys on
+#: the exact classes these entries construct.
 STANDARD_TOOLS = ("mix", "coverage", "cache", "sequences")

@@ -8,8 +8,8 @@ object exposes the per-table views used by the benchmark harness and by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import List, Mapping, Optional
 
 from repro import obs
 from repro.atom.coverage import LoadCoverage
@@ -77,15 +77,12 @@ def characterize(
     program: Program,
     bindings: Optional[Mapping[str, object]] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    tools: Optional[Dict[str, object]] = None,
     workload: Optional[str] = None,
     backend: Optional[str] = None,
     code_key: Optional[str] = None,
 ) -> CharacterizationResult:
-    """Run ``program`` once with the full tool set attached.
+    """Run ``program`` once with the standard four tools attached.
 
-    ``tools`` may override individual tools (keys: ``mix``, ``coverage``,
-    ``cache``, ``sequences``), e.g. to supply a custom cache hierarchy.
     ``workload`` is a telemetry-only label attached to the span this
     run emits when tracing is enabled (see :mod:`repro.obs`).
     ``backend`` selects the execution engine (compiled/switch;
@@ -96,11 +93,10 @@ def characterize(
     """
     from repro.exec.backends import make_interpreter, resolve_backend
 
-    tools = tools or {}
-    mix = tools.get("mix") or InstructionMix()
-    coverage = tools.get("coverage") or LoadCoverage()
-    cache = tools.get("cache") or CacheSim()
-    sequences = tools.get("sequences") or SequenceProfile()
+    mix = InstructionMix()
+    coverage = LoadCoverage()
+    cache = CacheSim()
+    sequences = SequenceProfile()
     backend = resolve_backend(backend)
     with obs.span(
         "characterize", workload=workload or "?", backend=backend

@@ -122,10 +122,10 @@ class SequenceProfile:
 
     # -- event handling ---------------------------------------------------------
     # The per-kind handlers below are the real implementation;
-    # ``on_event`` only classifies.  The fused fast path
-    # (:mod:`repro.atom.fused`) calls the handlers directly, skipping the
-    # event object entirely, so their state transitions must stay
-    # equivalent to the historical single-``on_event`` tool.
+    # ``on_event`` only classifies.  They are the semantics of record:
+    # the compiled engine's fused codegen inlines the same transitions
+    # statement for statement, and the differential matrix checks it
+    # against these handlers as the switch engine runs them.
 
     def on_event(self, event: TraceEvent) -> None:
         kind = event.instr.kind
@@ -190,10 +190,9 @@ class SequenceProfile:
     def _propagate(self, read_keys, dest_key: int) -> None:
         """Taint flow of one register-writing instruction.
 
-        Shared by :meth:`on_step` and the compiled backend, whose
-        generated code performs the all-sources-untainted check inline
-        and calls in here only when some source carries taint (plus the
-        matching dead-destination delete on the untainted path).
+        The compiled engine's fused codegen inlines this merge
+        statement for statement (source order, duplicate registers,
+        depth filter, cap at 6 tags).
         """
         taint = self._taint
         merged: tuple = ()
@@ -225,8 +224,8 @@ class SequenceProfile:
     def _branch_tainted(self, tags: tuple, taken, correct: bool, sid: int) -> None:
         """Statistics for one branch whose condition carries load taint.
 
-        Shared by :meth:`_on_branch` and the compiled backend (which
-        checks the — far more common — untainted case inline).
+        The compiled engine's fused codegen inlines this body too,
+        behind an inline check of the (far more common) untainted case.
         """
         stats = self.seq_branch_stats.get(sid)
         if stats is None:

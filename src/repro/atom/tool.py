@@ -3,12 +3,7 @@
 Anything with an ``on_event(TraceEvent)`` method can be attached to an
 interpreter run (or a trace replay) — the same way an ATOM analysis
 routine is attached to an instrumented binary.  This module documents
-that contract as a :class:`typing.Protocol` and provides two adapters:
-
-* :class:`FilteredTool` — forward only the events a predicate accepts
-  (e.g. only loads, only one static instruction);
-* :class:`TeeTool` — forward one event stream to several tools (useful
-  when composing tools into a larger one).
+that contract as a :class:`typing.Protocol`.
 
 Interest masks
 --------------
@@ -21,8 +16,7 @@ observes loads never sees (and never pays for) the ALU-heavy rest of the
 stream; when *nobody* observes a kind, the event object is never even
 constructed.  Tools without ``interests`` receive every event, exactly
 as before the mask existed.  Declaring interests is purely an
-optimization: ``on_event`` must still tolerate any event it is handed,
-because trace replays and :class:`TeeTool` may bypass the mask.
+optimization: ``on_event`` must still tolerate any event it is handed.
 
 Merge protocol
 --------------
@@ -39,9 +33,8 @@ state (anything meaningless across run boundaries) should be excluded.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from repro.exec.interpreter import ALL_EVENTS, EVENT_KINDS  # noqa: F401
 from repro.exec.trace import TraceEvent
 
 
@@ -52,56 +45,3 @@ class AnalysisTool(Protocol):
     def on_event(self, event: TraceEvent) -> None:  # pragma: no cover
         ...
 
-
-class FilteredTool:
-    """Forwards only events matching ``predicate`` to ``inner``.
-
-    Declares no ``interests`` of its own: the predicate is opaque, and
-    the forwarded/dropped counters are defined over the full stream.
-    """
-
-    def __init__(self, inner: AnalysisTool, predicate: Callable[[TraceEvent], bool]):
-        self.inner = inner
-        self.predicate = predicate
-        self.forwarded = 0
-        self.dropped = 0
-
-    def on_event(self, event: TraceEvent) -> None:
-        if self.predicate(event):
-            self.forwarded += 1
-            self.inner.on_event(event)
-        else:
-            self.dropped += 1
-
-
-class TeeTool:
-    """Forwards every event to all wrapped tools.
-
-    Its ``interests`` are the union of the members' interests (the mask
-    of the whole is the mask of its parts); each delivered event still
-    goes to *every* member, so members must keep their own guards.
-    """
-
-    def __init__(self, tools: Iterable[AnalysisTool]):
-        self.tools: List[AnalysisTool] = list(tools)
-        interests: frozenset = frozenset()
-        for tool in self.tools:
-            declared = getattr(tool, "interests", None)
-            interests = interests | (
-                ALL_EVENTS if declared is None else frozenset(declared)
-            )
-        self.interests = interests or ALL_EVENTS
-
-    def on_event(self, event: TraceEvent) -> None:
-        for tool in self.tools:
-            tool.on_event(event)
-
-
-def loads_only(event: TraceEvent) -> bool:
-    """Predicate: memory-reading events."""
-    return event.instr.is_load
-
-
-def branches_only(event: TraceEvent) -> bool:
-    """Predicate: conditional-branch events."""
-    return event.instr.is_branch

@@ -18,7 +18,7 @@ from repro.exec.interpreter import (
     InterpreterError,
     run_program,
 )
-from repro.exec.trace import TraceCollector, TraceEvent, TraceWriter, replay_trace
+from repro.exec.trace import TraceCollector, TraceEvent
 
 __all__ = [
     "BACKENDS",
@@ -28,9 +28,7 @@ __all__ = [
     "InterpreterError",
     "TraceCollector",
     "TraceEvent",
-    "TraceWriter",
     "make_interpreter",
-    "replay_trace",
     "resolve_backend",
     "run_program",
 ]

@@ -7,9 +7,22 @@ This backend removes both: for each :class:`~repro.isa.program.Program`
 it generates specialized Python source per basic block — registers
 renamed to slots of one flat dense register file (a precomputed
 ``Reg -> int`` index map), immediates and array bases constant-folded,
-fused-tool transitions and sink dispatch inlined only for the event
-kinds actually observed — ``compile()``s it once, and drives the block
-functions from a small trampoline loop.
+sink dispatch inlined only for the event kinds actually observed —
+``compile()``s it once, and drives the block functions from a small
+trampoline loop.
+
+Four dispatch modes, one generated variant each:
+
+* **bare** — no consumers: no event is ever constructed;
+* **record** — bare plus the per-site appends :mod:`repro.trace.record`
+  turns into a trace artifact;
+* **masked** — ``TraceEvent`` construction and per-kind sink calls
+  inlined; every tool runs through its own ``on_event``;
+* **fused** — the standard four tools in their stock configuration
+  (:func:`_stock_tools`): their state transitions are inlined into the
+  block code, with no event objects and no tool calls.  Any other
+  configuration (a subclass, an aliased predictor, a custom hierarchy,
+  pre-seeded tools out of lockstep) runs masked.
 
 Exactness contract (enforced by ``tests/test_exec/test_backends.py``):
 
@@ -17,8 +30,9 @@ Exactness contract (enforced by ``tests/test_exec/test_backends.py``):
 * C-style division (``_trunc_div`` is shared with the switch),
 * identical ``InterpreterError`` / ``BudgetExceeded`` messages,
 * exact budget semantics — the instruction that would exceed the budget
-  never executes, even mid-block (runs that could cross the budget in
-  the current block fall back to a verbatim switch-style tail loop),
+  never executes, even mid-block: a block that could cross the budget
+  is never entered; the run hands off to the switch loop itself
+  (:meth:`Interpreter._switch`) from the top of that block, masked,
 * exact telemetry (``interp.instructions``, ``events.published/
   dispatched/suppressed``) via per-block batched counter constants that
   are also emitted on every generated error path.
@@ -39,29 +53,30 @@ Codegen invariants (see ``docs/performance.md``):
   call) is attributed to the exact dynamic instruction count the switch
   would report.
 
-Generated code mutates the *original* tool objects through the same
-shared helpers the switch path uses (``SequenceProfile._propagate`` /
-``_branch_tainted`` / ``_consume_pending``), so there is one source of
-truth for every non-trivial state transition.
+Fused code mutates the *original* tool objects, but it does not call
+their methods: the L1 hit path of ``CacheHierarchy.access``,
+``Hybrid.access``, and ``SequenceProfile``'s ``_propagate``,
+``_branch_tainted`` and ``_consume_pending`` are inlined statement for
+statement (an L1 miss still calls ``CacheHierarchy.access``; the
+pending-load rebuild is a generated copy of ``_consume_pending``'s
+mutation path).  The tools' own ``on_event`` methods stay the
+semantics of record: the differential matrix checks the inlined code
+against them as the switch engine runs them.
 """
-
 from __future__ import annotations
 
 import itertools
 import linecache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro import obs
 from repro.exec.interpreter import (
     DEFAULT_MAX_INSTRUCTIONS,
     EVENT_KINDS,
-    BudgetExceeded,
     Interpreter,
     InterpreterError,
-    _consumer_interests,
-    _CountingFanout,
-    _fuse_consumers,
+    _dispatch_sinks,
     _trunc_div,
 )
 from repro.isa.instructions import WORD_SIZE, Opcode
@@ -126,12 +141,13 @@ class _Batch:
     """Per-block static event counts, flushed as ``+= constant`` stores.
 
     In fused mode the mix counters, ``LoadCoverage.total_loads``,
-    ``SequenceProfile.total_loads``, and (under telemetry) the
-    ``FusedDispatchCounter`` per-kind counts are pure functions of *how
-    many instructions of each class executed* — so the generated code
-    applies them as one constant increment per counter at every block
-    exit, and emits the partial constants inline on every generated
-    raise so error-path state stays exact.
+    ``SequenceProfile.total_loads``, the Hybrid's executed count, and
+    (under telemetry) the per-kind counting fanouts' published counts
+    are pure functions of *how many instructions of each class
+    executed* — so the generated code applies them as one constant
+    increment per counter at every block exit, and emits the partial
+    constants inline on every generated raise so error-path state stays
+    exact.
     """
 
     _FIELDS = (
@@ -144,10 +160,11 @@ class _Batch:
         ("cov_loads", "COV.total_loads"),
         ("sq_loads", "SQ.total_loads"),
         ("pgs_executed", "PGS.executed"),
-        ("fc_loads", "FC.loads"),
-        ("fc_stores", "FC.stores"),
-        ("fc_branches", "FC.branches"),
-        ("fc_steps", "FC.steps"),
+        ("fc_load", "FC_load.published"),
+        ("fc_store", "FC_store.published"),
+        ("fc_branch", "FC_branch.published"),
+        ("fc_other", "FC_other.published"),
+        ("fc_halt", "FC_halt.published"),
     )
 
     def __init__(self, enabled: bool, telemetry: bool) -> None:
@@ -167,39 +184,41 @@ class _Batch:
         self.cov_loads += 1
         self.sq_loads += 1
         if self.telemetry:
-            self.fc_loads += 1
+            self.fc_load += 1
 
     def store(self, fp: bool) -> None:
         if not self.enabled:
             return
         self.mc_total += 1
         self.mc_stores += 1
-        if fp:  # only FSTORE counts fp (mirrors FusedStandardTools.store)
+        if fp:  # only FSTORE counts fp (mirrors InstructionMix.on_event)
             self.mc_fp_total += 1
         if self.telemetry:
-            self.fc_stores += 1
+            self.fc_store += 1
 
-    def branch(self, inline_pred: bool = False) -> None:
+    def branch(self) -> None:
         if not self.enabled:
             return
         self.mc_total += 1
         self.mc_branches += 1
-        if inline_pred:
-            # The un-aliased Hybrid increments its global executed count
-            # once per branch unconditionally; taken/mispredicted stay
-            # data-dependent and are updated inline.
-            self.pgs_executed += 1
+        # The un-aliased Hybrid increments its global executed count
+        # once per branch unconditionally; taken/mispredicted stay
+        # data-dependent and are updated inline.
+        self.pgs_executed += 1
         if self.telemetry:
-            self.fc_branches += 1
+            self.fc_branch += 1
 
-    def step(self, fp: bool) -> None:
+    def step(self, fp: bool, kind: str = "other") -> None:
         if not self.enabled:
             return
         self.mc_total += 1
         if fp:
             self.mc_fp_total += 1
         if self.telemetry:
-            self.fc_steps += 1
+            if kind == "halt":
+                self.fc_halt += 1
+            else:
+                self.fc_other += 1
 
     def stmts(self) -> List[str]:
         out = []
@@ -220,8 +239,7 @@ class CompiledProgram:
 
     __slots__ = (
         "filename", "source", "factory", "block_meta", "nregs", "reg_index",
-        "line_map", "flat", "positions", "block_flat_start", "instrs", "mode",
-        "lengths",
+        "line_map", "instrs",
     )
 
     def locate(self, exc: BaseException) -> Tuple[int, Optional[object]]:
@@ -480,7 +498,7 @@ class _BlockCodegen:
         block size is a multiple of the word size, so the division
         distributes: ``(base + x*w) // bs == base//bs + x // (bs//w)``.
         """
-        bs, _ = self.gen.inline_l1
+        bs, _ = self.gen.l1_geometry
         if base % bs == 0 and bs % WORD_SIZE == 0:
             tag_base = base // bs
             step = bs // WORD_SIZE
@@ -489,15 +507,11 @@ class _BlockCodegen:
         return f"({base} + x * {WORD_SIZE}) // {bs}"
 
     def set_expr(self) -> str:
-        _, ns = self.gen.inline_l1
+        _, ns = self.gen.l1_geometry
         return f"t_ & {ns - 1}" if ns & (ns - 1) == 0 else f"t_ % {ns}"
 
     def l1_store(self, indent: int, base: int, j: int, instr) -> None:
         """Store-side hierarchy access, L1 hit path inlined."""
-        if not self.gen.inline_l1:
-            self.line(indent, f"HA({self.addr_expr(base)}, True, False)",
-                      j, instr)
-            return
         self.line(indent, f"t_ = {self.tag_expr(base)}", j, instr)
         self.line(indent, f"cs_ = L1G({self.set_expr()})", j, instr)
         self.line(indent, "if cs_ is not None and t_ in cs_:", j, instr)
@@ -508,12 +522,13 @@ class _BlockCodegen:
         self.line(indent + 1, f"HA({self.addr_expr(base)}, True, False)",
                   j, instr)
 
-    def inline_predictor(self, ind: int, sid: int, j: int, instr) -> None:
+    def hybrid_access(self, ind: int, sid: int, j: int, instr) -> None:
         """Flattened un-aliased ``Hybrid.access`` (see predictors.py).
 
         Mirrors that method statement for statement against prebound
-        component tables; it stays the documentation of record, and the
-        mode key guards against predictor subclasses/configurations.
+        component tables; it stays the documentation of record, and
+        :func:`_stock_tools` keeps predictor subclasses and aliased
+        configurations on the masked path.
         """
         self.line(ind, f"bv_ = BTBg({sid}, 1)", j, instr)
         self.line(ind, "hi_ = GSH._history", j, instr)
@@ -664,30 +679,19 @@ class _BlockCodegen:
             self.line(indent, f"st = CPLg({sid})", j, instr)
             self.line(indent, f"if st is None: st = CPL[{sid}] = PLS()",
                       j, instr)
-            if gen.inline_l1:
-                self.line(indent, f"t_ = {self.tag_expr(base)}", j, instr)
-                self.line(indent, f"cs_ = L1G({self.set_expr()})", j, instr)
-                self.line(indent, "if cs_ is not None and t_ in cs_:",
-                          j, instr)
-                self.line(indent + 1, "HIER.load_accesses += 1", j, instr)
-                self.line(indent + 1, "L1.hits += 1", j, instr)
-                self.line(indent + 1, "cs_.move_to_end(t_)", j, instr)
-                self.line(indent + 1, "st.accesses += 1", j, instr)
-                self.line(indent, "else:", j, instr)
-                self.line(indent + 1,
-                          f"lv = HA({self.addr_expr(base)}, False, True)",
-                          j, instr)
-                self.line(indent + 1, "st.accesses += 1", j, instr)
-                self.line(indent + 1, "if lv > 1: st.l1_misses += 1",
-                          j, instr)
-            else:
-                self.line(indent,
-                          f"lv = HA({self.addr_expr(base)}, False, True)",
-                          j, instr)
-                self.line(indent, "st.accesses += 1", j, instr)
-                self.line(indent, "if lv > 1: st.l1_misses += 1", j, instr)
-            if not gen.sync_cov:
-                self.line(indent, f"CC[{sid}] = CCg({sid}, 0) + 1", j, instr)
+            self.line(indent, f"t_ = {self.tag_expr(base)}", j, instr)
+            self.line(indent, f"cs_ = L1G({self.set_expr()})", j, instr)
+            self.line(indent, "if cs_ is not None and t_ in cs_:", j, instr)
+            self.line(indent + 1, "HIER.load_accesses += 1", j, instr)
+            self.line(indent + 1, "L1.hits += 1", j, instr)
+            self.line(indent + 1, "cs_.move_to_end(t_)", j, instr)
+            self.line(indent + 1, "st.accesses += 1", j, instr)
+            self.line(indent, "else:", j, instr)
+            self.line(indent + 1,
+                      f"lv = HA({self.addr_expr(base)}, False, True)",
+                      j, instr)
+            self.line(indent + 1, "st.accesses += 1", j, instr)
+            self.line(indent + 1, "if lv > 1: st.l1_misses += 1", j, instr)
             self.hoist_position(indent, instr, j)
             pv = self.pj(j)
             self.seq_consume(indent, instr, j)
@@ -779,7 +783,7 @@ class _BlockCodegen:
         if op is _O.HALT:
             if gen.fused:
                 self.seq_consume(ind, instr, j)
-                self.batch.step(False)
+                self.batch.step(False, "halt")
             elif gen.has_sinks("halt"):
                 self.line(ind, f"ev = TE({self.ev_instr(instr)}, None, None)",
                           j, instr)
@@ -890,29 +894,20 @@ class _BlockCodegen:
         self.guard(ind, cond, j, instr)
         if gen.fused:
             # on_branch order: consume pending, then predictor/recent/
-            # taint bookkeeping (SequenceProfile._on_branch inlined; the
-            # tainted-condition tail is the shared _branch_tainted).
+            # taint bookkeeping (SequenceProfile._on_branch inlined,
+            # its tainted-condition tail _branch_tainted included).
             sid = instr.sid
             self.hoist_position(ind, instr, j)
             pv = self.pj(j)
             self.seq_consume(ind, instr, j)
             self.line(ind, f"tk = {self.slot(cond)} != 0", j, instr)
-            if gen.inline_pred:
-                self.inline_predictor(ind, sid, j, instr)
-            else:
-                self.line(ind, f"cr = PA({sid}, tk)", j, instr)
+            self.hybrid_access(ind, sid, j, instr)
             self.line(ind, f"RB.append(({sid}, {pv}))", j, instr)
             self.line(ind, f"if len(RB) > 6 or {pv} - RB[0][1] > W: del RB[0]",
                       j, instr)
             self.line(ind, f"tg = TG({instr._read_keys[0]})", j, instr)
-            if gen.inline_pred:
-                self.inline_branch_tainted(ind, sid, j, instr)
-            else:
-                self.line(ind,
-                          f"if tg is not None: SQ._dyn_load_id = dyn; "
-                          f"BT(tg, tk, cr, {sid})",
-                          j, instr)
-            self.batch.branch(gen.inline_pred)
+            self.inline_branch_tainted(ind, sid, j, instr)
+            self.batch.branch()
             self.line(ind, "if tk:", j, instr)
             self.ret(ind + 1, taken_target, j, instr, irregular)
             if last:
@@ -1048,11 +1043,12 @@ class _Generator:
         #: trace artifact needs to replay analysis tools without
         #: re-executing.
         self.record = mode[0] == "record"
+        #: Fused mode (the stock standard four, see _stock_tools): the
+        #: tools' transitions are inlined; the mode key carries the
+        #: telemetry flag and the L1 (block size, sets) geometry.
         self.fused = mode[0] == "fused"
         self.telemetry = self.fused and mode[1]
-        self.inline_l1 = self.fused and mode[2]
-        self.inline_pred = self.fused and mode[3]
-        self.sync_cov = self.fused and mode[4]
+        self.l1_geometry = mode[2] if self.fused else None
         self.sink_kinds = mode[1] if mode[0] == "masked" else frozenset()
         #: sids whose TraceEvent construction may need an I<sid>
         #: constant (the factory binds one per reachable instruction;
@@ -1101,17 +1097,12 @@ class _Generator:
                 "MC", "COV", "CC", "CCg", "CPL", "CPLg", "PLS", "HA",
                 "SQ", "TNT", "TG", "PEND", "RB", "BT", "PA", "PLD",
                 "W", "CW", "MX", "IG0", "T_", "MAP_", "P0", "CPR",
+                "BTB", "BTBg", "GSH", "GTB", "GTBg", "GMASK", "CH",
+                "CHg", "PPB", "PPBg", "PGS", "SBS", "SBSg", "LF",
+                "LFg", "SQPC", "BST", "HIER", "L1", "L1G",
             ]
-            if self.inline_pred:
-                names += [
-                    "BTB", "BTBg", "GSH", "GTB", "GTBg", "GMASK", "CH",
-                    "CHg", "PPB", "PPBg", "PGS", "SBS", "SBSg", "LF",
-                    "LFg", "SQPC", "BST",
-                ]
-            if self.inline_l1:
-                names += ["HIER", "L1", "L1G"]
             if self.telemetry:
-                names.append("FC")
+                names += [f"FC_{kind}" for kind in EVENT_KINDS]
         elif self.sink_kinds:
             names += ["TE"]
             names += [f"S_{k}" for k in EVENT_KINDS if k in self.sink_kinds]
@@ -1159,37 +1150,29 @@ class _Generator:
                 "MAP_ = map",
                 'P0 = ns["pos0"]',
                 'dyn = ns["dyn0"]',
+                "PRED = SQ.predictor",
+                "BTB = PRED.bimodal._table",
+                "BTBg = BTB.get",
+                "GSH = PRED.gshare",
+                "GTB = GSH._table",
+                "GTBg = GTB.get",
+                "GMASK = GSH._mask",
+                "CH = PRED._chooser",
+                "CHg = CH.get",
+                "PPB = PRED.per_branch",
+                "PPBg = PPB.get",
+                "PGS = PRED.global_stats",
+                "SBS = SQ.seq_branch_stats",
+                "SBSg = SBS.get",
+                "LF = SQ.load_feeds",
+                "LFg = LF.get",
+                "SQPC = SQ._prune_counted",
+                'BST = ns["BST"]',
+                "HIER = F.cache.hierarchy",
+                "L1 = HIER.l1",
+                "L1G = L1._sets.get",
             ):
                 em.emit(1, stmt)
-            if self.inline_pred:
-                for stmt in (
-                    "PRED = SQ.predictor",
-                    "BTB = PRED.bimodal._table",
-                    "BTBg = BTB.get",
-                    "GSH = PRED.gshare",
-                    "GTB = GSH._table",
-                    "GTBg = GTB.get",
-                    "GMASK = GSH._mask",
-                    "CH = PRED._chooser",
-                    "CHg = CH.get",
-                    "PPB = PRED.per_branch",
-                    "PPBg = PPB.get",
-                    "PGS = PRED.global_stats",
-                    "SBS = SQ.seq_branch_stats",
-                    "SBSg = SBS.get",
-                    "LF = SQ.load_feeds",
-                    "LFg = LF.get",
-                    "SQPC = SQ._prune_counted",
-                    'BST = ns["BST"]',
-                ):
-                    em.emit(1, stmt)
-            if self.inline_l1:
-                for stmt in (
-                    "HIER = F.cache.hierarchy",
-                    "L1 = HIER.l1",
-                    "L1G = L1._sets.get",
-                ):
-                    em.emit(1, stmt)
             # Pending-load rebuild: _consume_pending's mutation path with
             # the early-out scan stripped (the caller's inline scan has
             # already established that some entry resolves, expires, or
@@ -1215,7 +1198,8 @@ class _Generator:
             ):
                 em.emit(1, stmt)
             if self.telemetry:
-                em.emit(1, 'FC = ns["fc"]')
+                for kind in EVENT_KINDS:
+                    em.emit(1, f'FC_{kind} = ns["fc"]["{kind}"]')
         elif self.sink_kinds:
             em.emit(1, 'TE = ns["TE"]')
             em.emit(1, 'I = ns["I"]')
@@ -1231,15 +1215,14 @@ class _Generator:
         if self.fused:
             em.emit(2, "SQ._position = P0 + events")
             em.emit(2, "SQ._dyn_load_id = dyn")
-            if self.sync_cov:
-                # Coverage counts mirror per_load accesses execution for
-                # execution (same event stream), so the dict is rebuilt
-                # here — insertion order included — instead of upserted
-                # on every load.  run() verifies the lockstep invariant
-                # holds on entry before selecting this mode.
-                em.emit(2, "CC.clear()")
-                em.emit(2, "for s2_, st2_ in CPL.items():")
-                em.emit(3, "CC[s2_] = st2_.accesses")
+            # Coverage counts mirror per_load accesses execution for
+            # execution (same event stream), so the dict is rebuilt
+            # here — insertion order included — instead of upserted on
+            # every load.  _stock_tools checks that the lockstep
+            # invariant holds on entry before selecting this mode.
+            em.emit(2, "CC.clear()")
+            em.emit(2, "for s2_, st2_ in CPL.items():")
+            em.emit(3, "CC[s2_] = st2_.accesses")
         else:
             em.emit(2, "pass")
         names = ", ".join(f"b{i}" for i in range(nblocks))
@@ -1305,22 +1288,7 @@ def _generate(program: Program, bases: Dict[str, int],
     cp.nregs = len(reg_index)
     cp.reg_index = reg_index
     cp.line_map = em.line_map
-    # Switch-identical layout for the budget tail: the *full* block
-    # instruction lists (positions must match the switch even when a
-    # block carries dead code after a JMP/HALT).
-    flat: List = []
-    positions: Dict[str, int] = {}
-    starts: List[int] = []
-    for block in blocks:
-        starts.append(len(flat))
-        positions[block.name] = len(flat)
-        flat.extend(block.instructions)
-    cp.flat = flat
-    cp.positions = positions
-    cp.block_flat_start = tuple(starts)
-    cp.instrs = {ins.sid: ins for ins in flat}
-    cp.mode = mode
-    cp.lengths = tuple(lengths[name] for name in program.arrays)
+    cp.instrs = {ins.sid: ins for block in blocks for ins in block.instructions}
     return cp
 
 
@@ -1367,6 +1335,57 @@ def _for_program(program: Program, bases: Dict[str, int],
     return cp
 
 
+class _StockTools(NamedTuple):
+    """The standard four tools the fused codegen inlines (``ns["fused"]``)."""
+
+    mix: object
+    coverage: object
+    cache: object
+    sequences: object
+
+
+def _stock_tools(consumers: List[object]) -> Optional[_StockTools]:
+    """The standard four in the stock configuration fused codegen was
+    written for, or None (the run then dispatches masked).
+
+    Stock means exactly one exact instance of each standard tool class,
+    in any order (a subclass may override ``on_event``); an exact
+    ``CacheHierarchy`` over a stock ``Cache`` L1 (the L1 hit path is
+    inlined); the un-aliased stock ``Hybrid`` (its ``access`` is
+    inlined); and coverage counts in lockstep with
+    ``CacheSim.per_load``, entry order included (the coverage dict is
+    rebuilt from it at sync points instead of upserted per load).
+    """
+    if len(consumers) != 4:
+        return None
+    from repro.atom import CacheSim, InstructionMix, LoadCoverage, SequenceProfile
+    from repro.branch.predictors import Hybrid
+    from repro.cache.cache import Cache
+    from repro.cache.hierarchy import CacheHierarchy
+
+    by_type = {type(consumer): consumer for consumer in consumers}
+    try:
+        tools = _StockTools(
+            by_type[InstructionMix], by_type[LoadCoverage],
+            by_type[CacheSim], by_type[SequenceProfile],
+        )
+    except KeyError:  # a duplicate, a subclass or another consumer
+        return None
+    hierarchy = tools.cache.hierarchy
+    predictor = tools.sequences.predictor
+    if (
+        type(hierarchy) is not CacheHierarchy
+        or type(hierarchy.l1) is not Cache
+        or type(predictor) is not Hybrid
+        or predictor._aliased
+    ):
+        return None
+    lockstep = list(tools.coverage.counts.items()) == [
+        (sid, stats.accesses) for sid, stats in tools.cache.per_load.items()
+    ]
+    return tools if lockstep else None
+
+
 class _ExecContext:
     """Everything :meth:`CompiledInterpreter._drive` needs for one run.
 
@@ -1383,11 +1402,10 @@ class _ExecContext:
         "rec",
         "fused_mode",
         "telemetry",
-        "fused_counter",
+        "sinks_by_kind",
         "fanouts",
         "dispatch_mode",
         "nconsumers",
-        "tail_args",
     )
 
 
@@ -1405,7 +1423,6 @@ class CompiledInterpreter(Interpreter):
                  code_key: Optional[str] = None):
         super().__init__(program, bindings, max_instructions)
         self._code_key = code_key
-        self._tail_count: Optional[int] = None
 
     # -- execution ---------------------------------------------------------
     def run(self, consumers: Iterable[object] = ()) -> int:
@@ -1431,63 +1448,19 @@ class CompiledInterpreter(Interpreter):
         if not any(block.instructions for block in program.blocks):
             return None
 
-        fused = _fuse_consumers(consumer_list)
-        sinks_by_kind: Dict[str, List] = {kind: [] for kind in EVENT_KINDS}
-        if fused is None:
-            for consumer in consumer_list:
-                for kind in _consumer_interests(consumer):
-                    sinks_by_kind[kind].append(consumer.on_event)
         telemetry = obs.enabled()
-        fused_counter = None
-        fanouts: Dict[str, _CountingFanout] = {}
-        if telemetry:
-            if fused is not None:
-                from repro.atom.fused import FusedDispatchCounter
-
-                fused_counter = FusedDispatchCounter(fused)
-            else:
-                for kind, sinks in sinks_by_kind.items():
-                    if sinks:
-                        fanouts[kind] = fanout = _CountingFanout(sinks)
-                        sinks_by_kind[kind] = [fanout]
-
-        if fused is not None:
+        sinks_by_kind, fanouts = _dispatch_sinks(consumer_list, telemetry)
+        stock = _stock_tools(consumer_list)
+        if stock is not None:
             dispatch_mode = "fused"
-            # Inline the L1 hit path only for the stock hierarchy/cache
-            # classes; a subclass may override ``access``, which the
-            # inline fast path would silently bypass.
-            from repro.branch.predictors import Hybrid
-            from repro.cache.cache import Cache
-            from repro.cache.hierarchy import CacheHierarchy
-
             # The mode key carries the L1 geometry so the generated code
             # can fold tag and set-index arithmetic into constants.
-            hierarchy = fused.cache.hierarchy
-            inline_l1: object = False
-            if type(hierarchy) is CacheHierarchy and type(hierarchy.l1) is Cache:
-                inline_l1 = (
-                    hierarchy._l1_block_size,
-                    hierarchy._l1_num_sets,
-                )
-            # The un-aliased Hybrid is the stock configuration; anything
-            # else (subclass, aliased tables) keeps the method calls so
-            # overrides stay in charge.
-            predictor = fused.sequences.predictor
-            inline_pred = type(predictor) is Hybrid and not predictor._aliased
-            # Coverage counts and per-load access counts advance in
-            # lockstep (one increment each per executed load), so when
-            # they start out equal — entry order included, since
-            # snapshots serialize dicts in insertion order — the
-            # coverage dict can be rebuilt at sync points instead of
-            # upserted per load.  Pre-seeded tools that diverge (e.g. a
-            # reused CacheSim with a fresh LoadCoverage) keep the
-            # per-load upsert.
-            sync_cov = list(fused.coverage.counts.items()) == [
-                (sid, stats.accesses)
-                for sid, stats in fused.cache.per_load.items()
-            ]
-            mode: Tuple = ("fused", telemetry, inline_l1, inline_pred,
-                           sync_cov)
+            hierarchy = stock.cache.hierarchy
+            mode: Tuple = (
+                "fused",
+                telemetry,
+                (hierarchy._l1_block_size, hierarchy._l1_num_sets),
+            )
         elif any(sinks_by_kind.values()):
             dispatch_mode = "masked"
             mode = (
@@ -1518,22 +1491,23 @@ class CompiledInterpreter(Interpreter):
         if record:
             rec = []
             ns["rec"] = rec
-        if fused is not None:
+        if stock is not None:
             from operator import itemgetter
 
             from repro.atom.loadprofile import PerLoadCacheStats
             from repro.branch.predictors import BranchStats
 
-            seq = fused.sequences
-            ns["fused"] = fused
+            seq = stock.sequences
+            ns["fused"] = stock
             ns["PLS"] = PerLoadCacheStats
             ns["PLD"] = _PendingLoad
             ns["IG0"] = itemgetter(0)
             ns["BST"] = BranchStats
             ns["pos0"] = seq._position
             ns["dyn0"] = seq._dyn_load_id
-            if fused_counter is not None:
-                ns["fc"] = fused_counter
+            # The counting fanouts the masked switch tail would use:
+            # generated code bumps their published counts in batches.
+            ns["fc"] = fanouts
         elif mode[0] == "masked":
             ns["TE"] = TraceEvent
             ns["I"] = cp.instrs
@@ -1541,7 +1515,6 @@ class CompiledInterpreter(Interpreter):
                 ns[f"S_{kind}"] = sinks_by_kind[kind]
 
         block_fns, sync = cp.factory(ns)
-        self._tail_count = None
 
         ctx = _ExecContext()
         ctx.cp = cp
@@ -1549,18 +1522,24 @@ class CompiledInterpreter(Interpreter):
         ctx.sync = sync
         ctx.R = R
         ctx.rec = rec
-        ctx.fused_mode = fused is not None
+        ctx.fused_mode = stock is not None
         ctx.telemetry = telemetry
-        ctx.fused_counter = fused_counter
+        ctx.sinks_by_kind = sinks_by_kind
         ctx.fanouts = fanouts
         ctx.dispatch_mode = dispatch_mode
         ctx.nconsumers = len(consumer_list)
-        ctx.tail_args = (sinks_by_kind, fused, fused_counter, TraceEvent)
         return ctx
 
     def _drive(self, ctx: "_ExecContext") -> int:
         """The trampoline over a prepared context: budget pre-checks,
-        per-block calls, exact error attribution, final writeback."""
+        per-block calls, exact error attribution, final writeback.
+
+        A block that could cross the instruction budget is never
+        entered: the run hands off to the switch loop
+        (:meth:`Interpreter._switch`) from the top of that block, with
+        every tool dispatched through its own ``on_event``, so budget
+        and raise semantics at the boundary are the switch's own.
+        """
         cp = ctx.cp
         block_fns = ctx.block_fns
         sync = ctx.sync
@@ -1569,9 +1548,7 @@ class CompiledInterpreter(Interpreter):
         budget = self.max_instructions
         fused_mode = ctx.fused_mode
         telemetry = ctx.telemetry
-        fused_counter = ctx.fused_counter
         fanouts = ctx.fanouts
-        tail_args = ctx.tail_args
 
         run_span = obs.span(
             "interpret", dispatch=ctx.dispatch_mode, consumers=ctx.nconsumers
@@ -1585,57 +1562,50 @@ class CompiledInterpreter(Interpreter):
                     n = meta[bi]
                     if n >= 0:
                         if count + n > budget:
-                            if fused_mode:
-                                sync(count)
-                            count = self._switch_tail(cp, R, bi, count,
-                                                      tail_args)
-                            bi = -1
                             break
                         bi = block_fns[bi](count)
                         count += n
                     else:
                         if count - n > budget:
-                            if fused_mode:
-                                sync(count)
-                            count = self._switch_tail(cp, R, bi, count,
-                                                      tail_args)
-                            bi = -1
                             break
                         bi, executed = block_fns[bi](count)
                         count += executed
             except BaseException as exc:
-                if self._tail_count is not None:
-                    count = self._tail_count
-                else:
-                    delta, instr = cp.locate(exc)
-                    count += delta
-                    if fused_mode:
-                        # The failing instruction never dispatched its
-                        # (single, fused) event.
-                        sync(count - 1 if delta else count)
-                    if isinstance(exc, KeyError) and instr is not None:
-                        error = InterpreterError(
-                            f"use of undefined register {exc.args[0]!r} "
-                            f"at sid {instr.sid} ({instr.opcode.name}, "
-                            f"line {instr.line})"
-                        )
-                        if telemetry:
-                            self._flush_telemetry(run_span, count,
-                                                  fused_counter, fanouts)
-                        run_span.__exit__(type(error), error, None)
-                        raise error from None
+                delta, instr = cp.locate(exc)
+                count += delta
+                if fused_mode:
+                    # The failing instruction never dispatched its
+                    # (single, fused) event.
+                    sync(count - 1 if delta else count)
+                if isinstance(exc, KeyError) and instr is not None:
+                    error = InterpreterError(
+                        f"use of undefined register {exc.args[0]!r} "
+                        f"at sid {instr.sid} ({instr.opcode.name}, "
+                        f"line {instr.line})"
+                    )
+                    if telemetry:
+                        self._flush_telemetry(run_span, count, fanouts)
+                    run_span.__exit__(type(error), error, None)
+                    raise error from None
                 if telemetry:
-                    self._flush_telemetry(run_span, count, fused_counter,
-                                          fanouts)
+                    self._flush_telemetry(run_span, count, fanouts)
                 run_span.__exit__(type(exc), exc, exc.__traceback__)
                 raise
         finally:
             self._writeback(cp, R)
-        self.executed = count
-        if fused_mode and self._tail_count is None:
+        if fused_mode:
             sync(count)
+        if bi >= 0:
+            try:
+                count = self._switch(bi, count, ctx.sinks_by_kind)
+            except BaseException as exc:
+                if telemetry:
+                    self._flush_telemetry(run_span, self._stopped_at, fanouts)
+                run_span.__exit__(type(exc), exc, exc.__traceback__)
+                raise
+        self.executed = count
         if telemetry:
-            self._flush_telemetry(run_span, count, fused_counter, fanouts)
+            self._flush_telemetry(run_span, count, fanouts)
         run_span.__exit__(None, None, None)
         return count
 
@@ -1645,245 +1615,3 @@ class CompiledInterpreter(Interpreter):
             value = R[idx]
             if value is not UNDEF:
                 regs[reg] = value
-
-    def _switch_tail(self, cp: CompiledProgram, R: List, bi: int,
-                     count: int, tail_args: Tuple) -> int:
-        """Run from the start of block ``bi`` to completion, switch-style.
-
-        Entered when the current block could cross the instruction
-        budget: a verbatim port of the switch loop over a dict register
-        view, so budget/raise semantics at the boundary are exact by
-        construction.  Never returns to compiled code.
-        """
-        sinks_by_kind, fused, fused_counter, TraceEvent = tail_args
-        regs: Dict[Reg, object] = {}
-        for reg, idx in cp.reg_index.items():
-            value = R[idx]
-            if value is not UNDEF:
-                regs[reg] = value
-        memory = self.memory
-        bases = self.bases
-        flat = cp.flat
-        positions = cp.positions
-        fused_load = fused_store = fused_branch = fused_step = None
-        if fused_counter is not None:
-            fused_load = fused_counter.load
-            fused_store = fused_counter.store
-            fused_branch = fused_counter.branch
-            fused_step = fused_counter.step
-        elif fused is not None:
-            fused_load = fused.load
-            fused_store = fused.store
-            fused_branch = fused.branch
-            fused_step = fused.step
-        load_sinks = sinks_by_kind["load"]
-        store_sinks = sinks_by_kind["store"]
-        branch_sinks = sinks_by_kind["branch"]
-        other_sinks = sinks_by_kind["other"]
-        halt_sinks = sinks_by_kind["halt"]
-        budget = self.max_instructions
-        O = Opcode
-        pc = cp.block_flat_start[bi]
-        end = len(flat)
-        instr = None
-        try:
-            try:
-                while pc < end:
-                    if count == budget:
-                        self.executed = count
-                        raise BudgetExceeded(
-                            f"exceeded budget of {budget} instructions"
-                        )
-                    instr = flat[pc]
-                    pc += 1
-                    count += 1
-                    op = instr.opcode
-                    if op is O.LOAD or op is O.FLOAD:
-                        array = instr.array
-                        index = regs[instr.srcs[0]] + (instr.imm or 0)
-                        data = memory[array]
-                        try:
-                            if index < 0:
-                                raise IndexError
-                            value = data[index]
-                            regs[instr.dest] = value
-                        except IndexError:
-                            raise InterpreterError(
-                                f"load out of bounds: {array}[{index}] "
-                                f"(len {len(data)}) at sid {instr.sid} "
-                                f"line {instr.line}"
-                            ) from None
-                        if fused_load is not None:
-                            fused_load(
-                                instr, bases[array] + index * WORD_SIZE, value
-                            )
-                        elif load_sinks:
-                            event = TraceEvent(
-                                instr, bases[array] + index * WORD_SIZE,
-                                None, value,
-                            )
-                            for sink in load_sinks:
-                                sink(event)
-                        continue
-                    if op is O.STORE or op is O.FSTORE:
-                        array = instr.array
-                        srcs = instr.srcs
-                        index = regs[srcs[1]] + (instr.imm or 0)
-                        data = memory[array]
-                        try:
-                            if index < 0:
-                                raise IndexError
-                            data[index] = regs[srcs[0]]
-                        except IndexError:
-                            raise InterpreterError(
-                                f"store out of bounds: {array}[{index}] "
-                                f"(len {len(data)}) at sid {instr.sid} "
-                                f"line {instr.line}"
-                            ) from None
-                        if fused_store is not None:
-                            fused_store(instr, bases[array] + index * WORD_SIZE)
-                        elif store_sinks:
-                            event = TraceEvent(
-                                instr, bases[array] + index * WORD_SIZE, None
-                            )
-                            for sink in store_sinks:
-                                sink(event)
-                        continue
-                    if op is O.CSTORE or op is O.FCSTORE:
-                        addr = None
-                        srcs = instr.srcs
-                        if regs[srcs[2]] != 0:
-                            array = instr.array
-                            index = regs[srcs[1]] + (instr.imm or 0)
-                            data = memory[array]
-                            try:
-                                if index < 0:
-                                    raise IndexError
-                                data[index] = regs[srcs[0]]
-                            except IndexError:
-                                raise InterpreterError(
-                                    f"store out of bounds: {array}[{index}] "
-                                    f"(len {len(data)}) at sid {instr.sid} "
-                                    f"line {instr.line}"
-                                ) from None
-                            addr = bases[array] + index * WORD_SIZE
-                        if fused_store is not None:
-                            fused_store(instr, addr)
-                        elif store_sinks:
-                            event = TraceEvent(instr, addr, None)
-                            for sink in store_sinks:
-                                sink(event)
-                        continue
-                    if op is O.BR:
-                        taken = regs[instr.srcs[0]] != 0
-                        if taken:
-                            pc = positions[instr.target]
-                        if fused_branch is not None:
-                            fused_branch(instr, taken)
-                        elif branch_sinks:
-                            event = TraceEvent(instr, None, taken)
-                            for sink in branch_sinks:
-                                sink(event)
-                        continue
-                    if op is O.JMP:
-                        pc = positions[instr.target]
-                    elif op in _BINOPS or op in _CMPOPS or op is O.NEG or \
-                            op is O.FNEG or op is O.MOV or op is O.FMOV:
-                        srcs = instr.srcs
-                        if op in _BINOPS:
-                            a = regs[srcs[0]]
-                            b = regs[srcs[1]]
-                            sym = _BINOPS[op]
-                            if sym == "+":
-                                regs[instr.dest] = a + b
-                            elif sym == "-":
-                                regs[instr.dest] = a - b
-                            elif sym == "*":
-                                regs[instr.dest] = a * b
-                            elif sym == "/":
-                                regs[instr.dest] = a / b
-                            elif sym == "&":
-                                regs[instr.dest] = a & b
-                            elif sym == "|":
-                                regs[instr.dest] = a | b
-                            elif sym == "^":
-                                regs[instr.dest] = a ^ b
-                            elif sym == "<<":
-                                regs[instr.dest] = a << b
-                            else:
-                                regs[instr.dest] = a >> b
-                        elif op in _CMPOPS:
-                            a = regs[srcs[0]]
-                            b = regs[srcs[1]]
-                            sym = _CMPOPS[op]
-                            if sym == ">":
-                                regs[instr.dest] = 1 if a > b else 0
-                            elif sym == "<=":
-                                regs[instr.dest] = 1 if a <= b else 0
-                            elif sym == "<":
-                                regs[instr.dest] = 1 if a < b else 0
-                            elif sym == ">=":
-                                regs[instr.dest] = 1 if a >= b else 0
-                            elif sym == "==":
-                                regs[instr.dest] = 1 if a == b else 0
-                            else:
-                                regs[instr.dest] = 1 if a != b else 0
-                        elif op is O.NEG or op is O.FNEG:
-                            regs[instr.dest] = -regs[srcs[0]]
-                        else:
-                            regs[instr.dest] = regs[srcs[0]]
-                    elif op is O.LI or op is O.FLI:
-                        regs[instr.dest] = instr.imm
-                    elif op is O.CMOV or op is O.FCMOV:
-                        if regs[instr.srcs[0]] != 0:
-                            regs[instr.dest] = regs[instr.srcs[1]]
-                        else:
-                            regs[instr.dest] = regs[instr.dest]
-                    elif op is O.DIV:
-                        regs[instr.dest] = _trunc_div(
-                            regs[instr.srcs[0]], regs[instr.srcs[1]]
-                        )
-                    elif op is O.MOD:
-                        a, b = regs[instr.srcs[0]], regs[instr.srcs[1]]
-                        regs[instr.dest] = a - b * _trunc_div(a, b)
-                    elif op is O.CVTIF:
-                        regs[instr.dest] = float(regs[instr.srcs[0]])
-                    elif op is O.CVTFI:
-                        regs[instr.dest] = int(regs[instr.srcs[0]])
-                    elif op is O.NOP:
-                        pass
-                    elif op is O.HALT:
-                        if fused_step is not None:
-                            fused_step(instr)
-                        elif halt_sinks:
-                            event = TraceEvent(instr, None, None)
-                            for sink in halt_sinks:
-                                sink(event)
-                        break
-                    else:  # pragma: no cover - all opcodes handled above
-                        raise InterpreterError(f"unhandled opcode {op}")
-                    if fused_step is not None:
-                        fused_step(instr)
-                    elif other_sinks:
-                        event = TraceEvent(instr, None, None)
-                        for sink in other_sinks:
-                            sink(event)
-            except KeyError as exc:
-                raise InterpreterError(
-                    f"use of undefined register {exc.args[0]!r} at sid "
-                    f"{instr.sid} ({instr.opcode.name}, line {instr.line})"
-                ) from None
-        finally:
-            self._tail_count = count
-            reg_index = cp.reg_index
-            for reg, value in regs.items():
-                R[reg_index[reg]] = value
-        return count
-
-
-def make_compiled(program, bindings=None,
-                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                  code_key: Optional[str] = None) -> CompiledInterpreter:
-    """Construction helper mirroring the :class:`Interpreter` signature."""
-    return CompiledInterpreter(program, bindings, max_instructions,
-                               code_key=code_key)

@@ -9,7 +9,7 @@ paper uses.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.isa.instructions import WORD_SIZE, Instruction, Opcode
@@ -50,21 +50,6 @@ def _consumer_interests(consumer: object) -> frozenset:
     return interests
 
 
-def _fuse_consumers(consumers: List[object]) -> Optional[object]:
-    """Collapse the standard four-tool set into one fused consumer.
-
-    Only exact instances of the default tool classes are fused (a
-    subclass may override ``on_event``); anything else runs unfused.
-    Returns the :class:`repro.atom.fused.FusedStandardTools` instance or
-    None when the set does not qualify.
-    """
-    if len(consumers) != 4:
-        return None
-    from repro.atom.fused import fuse_standard_tools
-
-    return fuse_standard_tools(consumers)
-
-
 class InterpreterError(Exception):
     """Runtime error: unbound array, out-of-bounds access, bad register."""
 
@@ -101,6 +86,29 @@ class _CountingFanout:
             sink(event)
 
 
+def _dispatch_sinks(
+    consumers: List[object], telemetry: bool
+) -> Tuple[Dict[str, List], Dict[str, _CountingFanout]]:
+    """Interest-masked dispatch: one sink list per event kind.
+
+    Returns ``(sinks_by_kind, fanouts)``.  Under telemetry each
+    non-empty kind's sinks are replaced by one :class:`_CountingFanout`
+    (also returned in ``fanouts``, keyed by kind), so events published
+    and deliveries dispatched are counted exactly.
+    """
+    sinks_by_kind: Dict[str, List] = {kind: [] for kind in EVENT_KINDS}
+    for consumer in consumers:
+        for kind in _consumer_interests(consumer):
+            sinks_by_kind[kind].append(consumer.on_event)
+    fanouts: Dict[str, _CountingFanout] = {}
+    if telemetry:
+        for kind, sinks in sinks_by_kind.items():
+            if sinks:
+                fanouts[kind] = fanout = _CountingFanout(sinks)
+                sinks_by_kind[kind] = [fanout]
+    return sinks_by_kind, fanouts
+
+
 class Interpreter:
     """Executes one program over one set of bindings.
 
@@ -130,6 +138,8 @@ class Interpreter:
         #: program's block list object is replaced, so a second run() on
         #: the same interpreter skips the flatten/positions work.
         self._layout = None
+        #: Instructions counted when :meth:`_switch` last raised.
+        self._stopped_at = 0
         self._bind(bindings or {})
         # Physical integer register 0 is hard-wired to zero (MIPS-style);
         # the register allocator relies on this for spill addressing.
@@ -182,17 +192,41 @@ class Interpreter:
         Each consumer must expose ``on_event(event: TraceEvent)`` and may
         declare ``interests`` (see :data:`EVENT_KINDS`) to skip event
         classes it ignores; events of a kind nobody observes are never
-        constructed.  When the consumers are exactly the four standard
-        characterization tools they are dispatched through a fused fast
-        path (:mod:`repro.atom.fused`) — the tools' final state is
-        identical either way.
+        constructed.
         """
-        from repro.exec.trace import TraceEvent
+        if not self._flat_layout()[0]:
+            return 0
+        consumer_list = list(consumers)
+        # Telemetry (off by default, and free when off): counting
+        # fanouts replace the sink lists so events dispatched vs.
+        # suppressed by interest masks are exact.  The hot loop is
+        # identical in both modes — only the sink callables differ.
+        telemetry = obs.enabled()
+        sinks_by_kind, fanouts = _dispatch_sinks(consumer_list, telemetry)
+        run_span = obs.span(
+            "interpret",
+            dispatch="masked" if any(sinks_by_kind.values()) else "bare",
+            consumers=len(consumer_list),
+        )
+        run_span.__enter__()
+        try:
+            count = self._switch(0, 0, sinks_by_kind)
+        except BaseException as exc:
+            if telemetry:
+                self._flush_telemetry(run_span, self._stopped_at, fanouts)
+            run_span.__exit__(type(exc), exc, exc.__traceback__)
+            raise
+        self.executed = count
+        if telemetry:
+            self._flush_telemetry(run_span, count, fanouts)
+        run_span.__exit__(None, None, None)
+        return count
 
+    def _flat_layout(self) -> Tuple[List[Instruction], Dict[str, int]]:
+        """The blocks flattened into one instruction list, plus each
+        label's position in it.  Cached on the interpreter: a second
+        run() reuses it unless the program's block list was replaced."""
         program = self.program
-        # Flatten blocks into one instruction list with label positions.
-        # The layout is cached on the interpreter: a second run() reuses
-        # it unless the program's block list was replaced in between.
         layout = self._layout
         if layout is None or layout[0] is not program.blocks:
             flat: List[Instruction] = []
@@ -201,52 +235,24 @@ class Interpreter:
                 positions[block.name] = len(flat)
                 flat.extend(block.instructions)
             self._layout = layout = (program.blocks, flat, positions)
-        else:
-            _, flat, positions = layout
-        if not flat:
-            return 0
+        return layout[1], layout[2]
 
+    def _switch(self, start: int, count: int,
+                sinks_by_kind: Dict[str, List]) -> int:
+        """The switch loop: execute from the top of block ``start``.
+
+        ``count`` instructions have already run: :meth:`run` starts at
+        block 0 with none, and the compiled engine hands its budget tail
+        over here from the block that could cross the budget.  Returns
+        the final count; when the loop raises, the count reached (the
+        failing instruction included) is left in ``_stopped_at``.
+        """
+        from repro.exec.trace import TraceEvent
+
+        flat, positions = self._flat_layout()
         regs = self.registers
         memory = self.memory
         bases = self.bases
-        # Interest-masked dispatch: one sink list per event kind.  When
-        # the consumer set is exactly the four standard tools, dispatch
-        # goes through the fused consumer's direct per-kind entry points
-        # and no TraceEvent is ever constructed.
-        consumer_list = list(consumers)
-        fused = _fuse_consumers(consumer_list)
-        fused_load = fused_store = fused_branch = fused_step = None
-        sinks_by_kind: Dict[str, List] = {kind: [] for kind in EVENT_KINDS}
-        if fused is not None:
-            fused_load = fused.load
-            fused_store = fused.store
-            fused_branch = fused.branch
-            fused_step = fused.step
-        else:
-            for consumer in consumer_list:
-                for kind in _consumer_interests(consumer):
-                    sinks_by_kind[kind].append(consumer.on_event)
-        # Telemetry (off by default, and free when off): wrap the
-        # dispatch entry points with counting shims so events dispatched
-        # vs. suppressed by interest masks are exact.  The hot loop is
-        # identical in both modes — only the sink callables differ.
-        telemetry = obs.enabled()
-        fused_counter = None
-        fanouts: Dict[str, _CountingFanout] = {}
-        if telemetry:
-            if fused is not None:
-                from repro.atom.fused import FusedDispatchCounter
-
-                fused_counter = FusedDispatchCounter(fused)
-                fused_load = fused_counter.load
-                fused_store = fused_counter.store
-                fused_branch = fused_counter.branch
-                fused_step = fused_counter.step
-            else:
-                for kind, sinks in sinks_by_kind.items():
-                    if sinks:
-                        fanouts[kind] = fanout = _CountingFanout(sinks)
-                        sinks_by_kind[kind] = [fanout]
         load_sinks = sinks_by_kind["load"]
         store_sinks = sinks_by_kind["store"]
         branch_sinks = sinks_by_kind["branch"]
@@ -255,20 +261,8 @@ class Interpreter:
         budget = self.max_instructions
         O = Opcode  # local alias for speed
 
-        if fused is not None:
-            dispatch_mode = "fused"
-        elif any(sinks_by_kind.values()):
-            dispatch_mode = "masked"
-        else:
-            dispatch_mode = "bare"
-        run_span = obs.span(
-            "interpret", dispatch=dispatch_mode, consumers=len(consumer_list)
-        )
-
-        pc = 0
-        count = 0
+        pc = positions[self.program.blocks[start].name]
         end = len(flat)
-        run_span.__enter__()
         try:
             while pc < end:
                 if count == budget:
@@ -297,9 +291,7 @@ class Interpreter:
                             f"load out of bounds: {array}[{index}] "
                             f"(len {len(data)}) at sid {instr.sid} line {instr.line}"
                         ) from None
-                    if fused_load is not None:
-                        fused_load(instr, bases[array] + index * WORD_SIZE, value)
-                    elif load_sinks:
+                    if load_sinks:
                         event = TraceEvent(
                             instr, bases[array] + index * WORD_SIZE, None, value
                         )
@@ -320,9 +312,7 @@ class Interpreter:
                             f"store out of bounds: {array}[{index}] "
                             f"(len {len(data)}) at sid {instr.sid} line {instr.line}"
                         ) from None
-                    if fused_store is not None:
-                        fused_store(instr, bases[array] + index * WORD_SIZE)
-                    elif store_sinks:
+                    if store_sinks:
                         event = TraceEvent(
                             instr, bases[array] + index * WORD_SIZE, None
                         )
@@ -348,9 +338,7 @@ class Interpreter:
                                 f"(len {len(data)}) at sid {instr.sid} line {instr.line}"
                             ) from None
                         addr = bases[array] + index * WORD_SIZE
-                    if fused_store is not None:
-                        fused_store(instr, addr)
-                    elif store_sinks:
+                    if store_sinks:
                         event = TraceEvent(instr, addr, None)
                         for sink in store_sinks:
                             sink(event)
@@ -359,9 +347,7 @@ class Interpreter:
                     taken = regs[instr.srcs[0]] != 0
                     if taken:
                         pc = positions[instr.target]
-                    if fused_branch is not None:
-                        fused_branch(instr, taken)
-                    elif branch_sinks:
+                    if branch_sinks:
                         event = TraceEvent(instr, None, taken)
                         for sink in branch_sinks:
                             sink(event)
@@ -422,50 +408,32 @@ class Interpreter:
                 elif op is O.NOP:
                     pass
                 elif op is O.HALT:
-                    if fused_step is not None:
-                        fused_step(instr)
-                    elif halt_sinks:
+                    if halt_sinks:
                         event = TraceEvent(instr, None, None)
                         for sink in halt_sinks:
                             sink(event)
                     break
                 else:  # pragma: no cover - all opcodes handled above
                     raise InterpreterError(f"unhandled opcode {op}")
-                if fused_step is not None:
-                    fused_step(instr)
-                elif other_sinks:
+                if other_sinks:
                     event = TraceEvent(instr, None, None)
                     for sink in other_sinks:
                         sink(event)
-        except KeyError as exc:
-            error = InterpreterError(
-                f"use of undefined register {exc.args[0]!r} at sid {instr.sid} "
-                f"({instr.opcode.name}, line {instr.line})"
-            )
-            if telemetry:
-                self._flush_telemetry(run_span, count, fused_counter, fanouts)
-            run_span.__exit__(type(error), error, None)
-            raise error from None
         except BaseException as exc:
-            if telemetry:
-                self._flush_telemetry(run_span, count, fused_counter, fanouts)
-            run_span.__exit__(type(exc), exc, exc.__traceback__)
+            self._stopped_at = count
+            if isinstance(exc, KeyError):
+                raise InterpreterError(
+                    f"use of undefined register {exc.args[0]!r} at sid "
+                    f"{instr.sid} ({instr.opcode.name}, line {instr.line})"
+                ) from None
             raise
-        self.executed = count
-        if telemetry:
-            self._flush_telemetry(run_span, count, fused_counter, fanouts)
-        run_span.__exit__(None, None, None)
         return count
 
-    def _flush_telemetry(self, run_span, count, fused_counter, fanouts) -> None:
+    def _flush_telemetry(self, run_span, count, fanouts) -> None:
         """Record end-of-run span attributes and registry metrics."""
-        if fused_counter is not None:
-            published = delivered = fused_counter.total
-            per_kind = fused_counter.per_kind()
-        else:
-            published = sum(f.published for f in fanouts.values())
-            delivered = sum(f.published * f.fanout for f in fanouts.values())
-            per_kind = {kind: f.published for kind, f in fanouts.items()}
+        published = sum(f.published for f in fanouts.values())
+        delivered = sum(f.published * f.fanout for f in fanouts.values())
+        per_kind = {kind: f.published for kind, f in fanouts.items()}
         suppressed = count - published
         run_span.set_attr(
             instructions=count,

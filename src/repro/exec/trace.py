@@ -48,62 +48,3 @@ class TraceCollector:
     def __iter__(self):
         return iter(self.events)
 
-
-class TraceWriter:
-    """Consumer that streams events to a compact trace file.
-
-    The format is one line per event: ``sid[,aADDR][,tT][,vVALUE]`` with
-    the address in hex.  Together with the program (which maps sids back
-    to instructions) a trace file is a complete ATOM-style record that
-    :func:`replay_trace` can feed back into any analysis tool without
-    re-executing the program.
-    """
-
-    def __init__(self, handle) -> None:
-        self._handle = handle
-
-    def on_event(self, event: TraceEvent) -> None:
-        parts = [str(event.instr.sid)]
-        if event.addr is not None:
-            parts.append(f"a{event.addr:x}")
-        if event.taken is not None:
-            parts.append(f"t{1 if event.taken else 0}")
-        if event.value is not None:
-            parts.append(f"v{event.value!r}")
-        self._handle.write(",".join(parts) + "\n")
-
-
-def replay_trace(handle, program, consumers) -> int:
-    """Replay a trace file against analysis consumers.
-
-    ``program`` must be the same (finalized) program the trace was
-    recorded from — sids index into it.  Returns the number of events
-    replayed.
-    """
-    import ast as _ast
-
-    by_sid = {i.sid: i for i in program.all_instructions()}
-    sinks = [c.on_event for c in consumers]
-    count = 0
-    for line in handle:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        instr = by_sid[int(parts[0])]
-        addr = None
-        taken = None
-        value = None
-        for part in parts[1:]:
-            tag, payload = part[0], part[1:]
-            if tag == "a":
-                addr = int(payload, 16)
-            elif tag == "t":
-                taken = payload == "1"
-            elif tag == "v":
-                value = _ast.literal_eval(payload)
-        event = TraceEvent(instr, addr, taken, value)
-        for sink in sinks:
-            sink(event)
-        count += 1
-    return count

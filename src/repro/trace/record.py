@@ -7,10 +7,12 @@ block ran before each record tuple.  Recording runs the program
 exactly once at compiled-backend speed plus the per-site appends.
 
 Recording is strictly best-effort: a run that could cross the
-instruction budget mid-block, or that raises, abandons the recording
-and returns None — the caller falls back to direct execution, which
-reproduces the exact budget/error semantics.  A stored artifact
-therefore always describes a complete, successful run.
+instruction budget mid-block, or that raises an error, abandons the
+recording and returns None — the caller falls back to direct
+execution, which reproduces the exact budget/error semantics.  An
+interrupt (``KeyboardInterrupt``, ``SystemExit``) is not an error of
+the run and propagates.  A stored artifact therefore always describes
+a complete, successful run.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def record_trace(
                     append(bi)
                     bi, executed = block_fns[bi](count)
                     count += executed
-        except BaseException:
+        except Exception:
             return None
         interp._writeback(ctx.cp, ctx.R)
         interp.executed = count

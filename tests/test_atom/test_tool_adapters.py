@@ -1,69 +1,10 @@
-"""Tests for the AnalysisTool protocol and adapters."""
+"""Tests for the AnalysisTool protocol."""
 
 from repro.atom.instmix import InstructionMix
-from repro.atom.tool import AnalysisTool, FilteredTool, TeeTool, branches_only, loads_only
-from repro.exec import Interpreter, TraceCollector
-from repro.lang.compiler import CompilerOptions, compile_source
-
-SRC = """
-int a[]; int out[];
-void kernel() {
-  int i;
-  for (i = 0; i < 8; i++) {
-    if (a[i] > 0) out[i] = 1;
-  }
-}
-"""
-
-BINDINGS = {"a": [1, -1, 2, -2, 3, -3, 4, -4], "out": [0] * 8}
-
-
-def run(*tools):
-    program = compile_source(SRC, "t", CompilerOptions(opt_level=1))
-    Interpreter(program, dict(BINDINGS)).run(consumers=tools)
+from repro.atom.tool import AnalysisTool
+from repro.exec import TraceCollector
 
 
 def test_tools_satisfy_protocol():
     assert isinstance(InstructionMix(), AnalysisTool)
     assert isinstance(TraceCollector(), AnalysisTool)
-    assert isinstance(FilteredTool(InstructionMix(), loads_only), AnalysisTool)
-
-
-def test_filtered_tool_loads_only():
-    inner = TraceCollector()
-    filtered = FilteredTool(inner, loads_only)
-    run(filtered)
-    assert inner.events
-    assert all(e.instr.is_load for e in inner)
-    assert filtered.forwarded == len(inner)
-    assert filtered.dropped > 0
-
-
-def test_filtered_tool_branches_only():
-    inner = TraceCollector()
-    run(FilteredTool(inner, branches_only))
-    assert inner.events
-    assert all(e.instr.is_branch for e in inner)
-
-
-def test_tee_tool_duplicates_stream():
-    a, b = TraceCollector(), TraceCollector()
-    run(TeeTool([a, b]))
-    assert len(a) == len(b) > 0
-
-
-def test_tee_of_filtered_composition():
-    loads = TraceCollector()
-    branches = TraceCollector()
-    everything = InstructionMix()
-    run(
-        TeeTool(
-            [
-                FilteredTool(loads, loads_only),
-                FilteredTool(branches, branches_only),
-                everything,
-            ]
-        )
-    )
-    assert len(loads) == everything.counts.loads
-    assert len(branches) == everything.counts.branches

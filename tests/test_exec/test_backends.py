@@ -14,6 +14,8 @@ import pytest
 from repro import obs
 from repro.api import RunConfig, Session
 from repro.atom import CacheSim, InstructionMix, LoadCoverage, SequenceProfile
+from repro.branch.predictors import Hybrid
+from repro.cache.hierarchy import CacheHierarchy
 from repro.exec import (
     BudgetExceeded,
     InterpreterError,
@@ -73,10 +75,73 @@ def assert_all_equal(by_backend):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_serial_fused_bit_identical(name):
-    """Four standard tools (the fused fast path): all state matches."""
+    """Four standard tools: the compiled engine's inlined (fused) tool
+    code matches the tools' own ``on_event`` on the switch."""
     states = {}
     for backend in BACKENDS:
         interp, tools = run_workload(name, backend)
+        states[backend] = observable_state(interp, tools)
+    assert_all_equal(states)
+
+
+class _SubclassedMix(InstructionMix):
+    pass
+
+
+class _SubclassedHierarchy(CacheHierarchy):
+    pass
+
+
+def _out_of_lockstep_tools():
+    """A CacheSim that already observed a run, with a fresh
+    LoadCoverage: its counts no longer mirror ``per_load``."""
+    cache = CacheSim()
+    run_workload("fasta", "switch", tools=(cache,))
+    return (InstructionMix(), LoadCoverage(), cache, SequenceProfile())
+
+
+#: Sets of the standard four -> the compiled engine's dispatch mode.
+STOCK_RULE = {
+    "stock": (standard_tools, "fused"),
+    "stock-reversed": (lambda: tuple(reversed(standard_tools())), "fused"),
+    "subclassed-tool": (
+        lambda: (_SubclassedMix(), LoadCoverage(), CacheSim(), SequenceProfile()),
+        "masked",
+    ),
+    "aliased-hybrid": (
+        lambda: (
+            InstructionMix(), LoadCoverage(), CacheSim(),
+            SequenceProfile(predictor=Hybrid(aliased=True)),
+        ),
+        "masked",
+    ),
+    "hierarchy-subclass": (
+        lambda: (
+            InstructionMix(), LoadCoverage(),
+            CacheSim(hierarchy=_SubclassedHierarchy()), SequenceProfile(),
+        ),
+        "masked",
+    ),
+    "coverage-out-of-lockstep": (_out_of_lockstep_tools, "masked"),
+}
+
+
+@pytest.mark.parametrize("tool_set", sorted(STOCK_RULE))
+def test_stock_rule_selects_dispatch_mode(tool_set):
+    """Only the stock configuration the fused codegen inlines takes it;
+    every other set of the standard four runs masked through the tools'
+    own ``on_event``.  Either way the run matches the switch engine."""
+    from repro.workloads import get_workload
+
+    make_tools, mode = STOCK_RULE[tool_set]
+    spec = get_workload("fasta")
+    interp = make_interpreter(
+        spec.program(), spec.dataset(SCALE, 0), backend="compiled"
+    )
+    assert interp._prepare(list(make_tools())).dispatch_mode == mode
+    states = {}
+    for backend in BACKENDS:
+        interp, tools = run_workload("fasta", backend, tools=make_tools())
         states[backend] = observable_state(interp, tools)
     assert_all_equal(states)
 
@@ -162,20 +227,28 @@ def test_serial_bare_bit_identical(name):
 @pytest.mark.parametrize("name", ["hmmsearch", "clustalw"])
 @pytest.mark.parametrize("tool_set", ["fused", "masked"])
 def test_telemetry_counters_match(name, tool_set):
-    """interp.* metric counters are identical across engines."""
+    """interp.* metric counters are identical across engines: the
+    compiled engine's fused tool set reports exactly what the switch
+    engine's masked dispatch of the same four tools counts."""
     snapshots = {}
+    dispatch = {}
     for backend in BACKENDS:
         tools = standard_tools() if tool_set == "fused" else (InstructionMix(),)
         obs.enable()
         try:
             run_workload(name, backend, tools=tools)
             snapshot = obs.metrics().snapshot()
+            (span,) = [
+                r for r in obs.get_tracer().drain() if r.name == "interpret"
+            ]
+            dispatch[backend] = span.attrs["dispatch"]
         finally:
             obs.disable()
         snapshots[backend] = {
             key: value for key, value in snapshot.items() if key.startswith("interp.")
         }
     assert snapshots["compiled"], "telemetry run recorded no interp.* counters"
+    assert dispatch == {"switch": "masked", "compiled": tool_set}
     assert_all_equal(snapshots)
 
 
@@ -210,11 +283,10 @@ def test_jobs2_sessions_bit_identical():
 # -- budget semantics ------------------------------------------------------
 
 
-@pytest.mark.parametrize("budget", [1, 2, 777, 12345])
-def test_budget_exceeded_parity(budget):
-    """Both engines abort on the same instruction with the same message
-    and identical partial tool state (budgets chosen to land mid-block
-    as well as on the first instruction)."""
+BUDGETS = [1, 2, 777, 12345]
+
+
+def _assert_budget_parity(budget, telemetry):
     outcomes = {}
     for backend in BACKENDS:
         from repro.workloads import get_workload
@@ -227,14 +299,41 @@ def test_budget_exceeded_parity(budget):
             max_instructions=budget,
             backend=backend,
         )
-        with pytest.raises(BudgetExceeded) as excinfo:
-            interp.run(consumers=tools)
+        if telemetry:
+            obs.enable()
+        try:
+            with pytest.raises(BudgetExceeded) as excinfo:
+                interp.run(consumers=tools)
+            counters = {
+                key: value for key, value in obs.metrics().snapshot().items()
+                if key.startswith("interp.")
+            }
+        finally:
+            obs.disable()
+        assert bool(counters) == telemetry
         outcomes[backend] = {
             "message": str(excinfo.value),
             "state": observable_state(interp, tools),
+            "counters": counters,
         }
     assert_all_equal(outcomes)
     assert outcomes["compiled"]["state"]["executed"] == budget
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_budget_exceeded_parity(budget):
+    """Both engines abort on the same instruction with the same message
+    and identical partial tool state (budgets chosen to land mid-block
+    as well as on the first instruction)."""
+    _assert_budget_parity(budget, telemetry=False)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_budget_exceeded_parity_with_telemetry(budget):
+    """The compiled engine's fused run hands its budget tail to the
+    switch loop; the interp.* counters of both halves must add up to
+    exactly what the switch engine counts alone."""
+    _assert_budget_parity(budget, telemetry=True)
 
 
 # -- error message parity --------------------------------------------------

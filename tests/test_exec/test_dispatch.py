@@ -1,21 +1,15 @@
-"""Interest-masked dispatch, the fused fast path, exact budget
-semantics, and the record→replay round trip."""
-
-import io
+"""Interest-masked dispatch and exact budget semantics."""
 
 import pytest
 
-from repro.atom import CacheSim, InstructionMix, LoadCoverage, SequenceProfile
 from repro.exec import (
     BudgetExceeded,
     Interpreter,
     InterpreterError,
     TraceCollector,
 )
-from repro.exec.interpreter import ALL_EVENTS, EVENT_KINDS, _fuse_consumers
-from repro.exec.trace import TraceWriter, replay_trace
+from repro.exec.interpreter import ALL_EVENTS, EVENT_KINDS
 from repro.lang.compiler import CompilerOptions, compile_source
-from repro.workloads import get_workload
 
 O0 = CompilerOptions(opt_level=0)
 
@@ -30,29 +24,6 @@ class KindCollector:
 
     def on_event(self, event):
         self.events.append(event)
-
-
-def _standard_tools():
-    return (InstructionMix(), LoadCoverage(), CacheSim(), SequenceProfile())
-
-
-def _tool_state(tools):
-    mix, coverage, cache, sequences = tools
-    hierarchy = cache.hierarchy
-    return {
-        "mix": mix.snapshot(),
-        "coverage": (coverage.total_loads, dict(coverage.counts)),
-        "per_load": {
-            sid: (s.accesses, s.l1_misses) for sid, s in cache.per_load.items()
-        },
-        "hierarchy": (
-            hierarchy.memory_accesses,
-            hierarchy.load_accesses,
-            hierarchy.load_l1_misses,
-            hierarchy.load_l2_misses,
-        ),
-        "sequences": sequences.snapshot(),
-    }
 
 
 # -- exact budget semantics -------------------------------------------------
@@ -113,60 +84,3 @@ def test_event_kind_names_are_stable():
     assert EVENT_KINDS == ("load", "store", "branch", "other", "halt")
     assert ALL_EVENTS == frozenset(EVENT_KINDS)
 
-
-# -- fused fast path --------------------------------------------------------
-
-
-def test_fused_matches_unfused_tool_state():
-    spec = get_workload("hmmsearch")
-    program = spec.program()
-
-    fused_tools = _standard_tools()
-    Interpreter(program, spec.dataset("test", 0)).run(consumers=fused_tools)
-
-    # A fifth consumer with no interests suppresses fusion without
-    # receiving any events, forcing the generic dispatch path.
-    unfused_tools = _standard_tools()
-    silent = KindCollector(frozenset())
-    Interpreter(program, spec.dataset("test", 0)).run(
-        consumers=list(unfused_tools) + [silent]
-    )
-    assert not silent.events
-    assert _tool_state(fused_tools) == _tool_state(unfused_tools)
-
-
-def test_fusion_requires_exact_standard_types():
-    class CountingMix(InstructionMix):
-        pass
-
-    standard = list(_standard_tools())
-    assert _fuse_consumers(standard) is not None
-    # Subclasses may override on_event, so they must not be fused.
-    subclassed = [CountingMix()] + standard[1:]
-    assert _fuse_consumers(subclassed) is None
-    # Wrong cardinality and duplicates stay unfused too.
-    assert _fuse_consumers(standard[:3]) is None
-    assert _fuse_consumers([standard[0]] * 2 + standard[2:]) is None
-    # Order does not matter.
-    assert _fuse_consumers(list(reversed(standard))) is not None
-
-
-# -- record -> replay round trip --------------------------------------------
-
-
-def test_record_replay_round_trip():
-    spec = get_workload("hmmsearch")
-    program = spec.program()
-
-    live_tools = _standard_tools()
-    buffer = io.StringIO()
-    writer = TraceWriter(buffer)
-    Interpreter(program, spec.dataset("test", 0)).run(
-        consumers=list(live_tools) + [writer]
-    )
-
-    buffer.seek(0)
-    replayed_tools = _standard_tools()
-    replayed = replay_trace(buffer, program, replayed_tools)
-    assert replayed > 0
-    assert _tool_state(live_tools) == _tool_state(replayed_tools)

@@ -104,3 +104,13 @@ def test_disassemble_contains_blocks_and_arrays():
     program.declare_array("data", 16)
     text = program.disassemble()
     assert "entry:" in text and "skip:" in text and "data[16]" in text
+
+
+def test_to_dot_contains_blocks_and_edges():
+    program = build_diamond()
+    dot = program.to_dot()
+    assert dot.startswith("digraph")
+    assert '"entry"' in dot
+    assert "->" in dot
+    # One node per block.
+    assert dot.count("[label=") == len(program.blocks)

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from repro.api import Session
 from repro.core.runcache import RunCache
+from repro.exec.compiled import CompiledInterpreter
 from repro.trace import TraceStore, record_trace, trace_fingerprint
 from repro.workloads.registry import get_workload
 
@@ -102,3 +105,26 @@ def test_index_tracks_stored_traces(tmp_path):
     # Clearing the cache empties the (advisory) view too.
     cache.clear()
     assert store.index() == {}
+
+
+def test_interrupt_propagates_out_of_record_and_analyze(monkeypatch):
+    """Ctrl-C during recording is not "not traceable": it must reach the
+    caller instead of degrading to None or to a direct re-run."""
+    prepare = CompiledInterpreter._prepare
+
+    def interrupting(self, consumers, record=False):
+        ctx = prepare(self, consumers, record)
+        if record:
+            def interrupt(count):
+                raise KeyboardInterrupt
+
+            ctx.block_fns = (interrupt,) + tuple(ctx.block_fns[1:])
+        return ctx
+
+    monkeypatch.setattr(CompiledInterpreter, "_prepare", interrupting)
+    spec = get_workload("fasta")
+    with pytest.raises(KeyboardInterrupt):
+        record_trace(spec.program(), spec.dataset("test", 0))
+    with Session(scale="test", cache=False) as s:
+        with pytest.raises(KeyboardInterrupt):
+            s.analyze("fasta", tools=["mix"])
