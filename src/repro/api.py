@@ -213,7 +213,12 @@ class Session:
     def run(
         self, name: str, scale: Optional[str] = None, seed: Optional[int] = None
     ) -> CharacterizationResult:
-        """The (memoized, cached) characterization run for ``name``."""
+        """The (memoized, cached) characterization run for ``name``.
+
+        A run that is neither memoized nor cached is a one-task map on
+        the session's runner: in a worker process at ``jobs >= 2``, in
+        the calling process otherwise.  A run that fails raises
+        :class:`~repro.core.parallel.WorkerTaskError` either way."""
         from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 
         get_workload(name)  # unknown workloads raise KeyError here, not in a worker
@@ -232,9 +237,10 @@ class Session:
                     source = "cache"
             if result is None:
                 source = "interp"
-                _, result = parallel._characterize_task(
-                    (name, scale, seed, DEFAULT_MAX_INSTRUCTIONS,
-                     self.config.backend)
+                ((_, result),) = self._runner.map(
+                    parallel._characterize_task,
+                    [(name, scale, seed, DEFAULT_MAX_INSTRUCTIONS,
+                      self.config.backend)],
                 )
                 if self._cache is not None:
                     self._cache.store(self._fingerprint(name, scale, seed), result)
@@ -343,7 +349,7 @@ class Session:
         Cached and memoized runs are reused; the remainder fan out
         across the session's workers.  A run that fails is skipped here
         (``experiments.prefetch_failures``) and surfaces on the eventual
-        serial :meth:`run` call for it — prefetch itself never raises.
+        :meth:`run` call for it — prefetch itself never raises.
         """
         from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 
@@ -382,112 +388,6 @@ class Session:
                     self._cache.store(
                         self._fingerprint(name, self.scale, self.seed), result
                     )
-
-    def characterize_many(
-        self,
-        specs: Sequence[Tuple[str, Optional[str], Optional[int]]],
-        tags: Optional[Sequence[Optional[Dict[str, object]]]] = None,
-    ) -> List[object]:
-        """One characterization per ``(name, scale, seed)`` triple, batched.
-
-        The batch path of the ``repro serve`` request server: memo and
-        run-cache hits are answered inline; the missing runs are
-        deduplicated and fanned out over **one** map on the session's
-        workers, and results come back aligned with ``specs``.  A run
-        that fails (its task raised, or its worker died) occupies its
-        slot as a :class:`~repro.core.parallel.FailedCell` marker
-        instead of raising, so one bad request cannot take down a
-        batch.  ``None`` scale/seed default to the session's.  Unknown
-        workload names raise ``KeyError`` before any work is dispatched.
-
-        ``tags`` is an optional per-spec list of trace attrs (the
-        request server passes ``{"request_id": ...}`` per request):
-        they are folded into the engine task dispatched for each spec
-        and installed as ambient trace context in the worker, so the
-        spans a task produces carry the request ID(s) that caused it.
-        Duplicate specs landing on one engine task merge their IDs into
-        a ``request_ids`` list.
-        """
-        from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
-
-        keys = [
-            (
-                name,
-                self.scale if scale is None else scale,
-                self.seed if seed is None else seed,
-            )
-            for name, scale, seed in specs
-        ]
-        for name, _, _ in keys:
-            get_workload(name)  # KeyError here, not in a worker
-
-        key_attrs: Dict[Tuple[str, str, int], Dict[str, object]] = {}
-        if tags is not None:
-            if len(tags) != len(keys):
-                raise ValueError(
-                    f"tags length {len(tags)} != specs length {len(keys)}"
-                )
-            for key, tag in zip(keys, tags):
-                if not tag:
-                    continue
-                entry = key_attrs.setdefault(key, {})
-                for field, value in tag.items():
-                    if field == "request_id":
-                        entry.setdefault("_rids", []).append(value)
-                    else:
-                        entry[field] = value
-
-        def _ctx(key) -> Optional[Dict[str, object]]:
-            """The trace context for the engine task running ``key``;
-            None when no spec for it carried tags."""
-            entry = key_attrs.get(key)
-            if not entry:
-                return None
-            merged = {f: v for f, v in entry.items() if f != "_rids"}
-            rids = entry.get("_rids", [])
-            if len(rids) == 1:
-                merged["request_id"] = rids[0]
-            elif rids:
-                merged["request_ids"] = rids
-            return merged or None
-
-        with obs.span("experiment.batch", requested=len(keys)) as span:
-            resolved: Dict[Tuple[str, str, int], object] = {}
-            for key in dict.fromkeys(keys):
-                result = self._runs.get(key)
-                if result is None and self._cache is not None:
-                    cached = self._cache.load(self._fingerprint(*key))
-                    if isinstance(cached, CharacterizationResult):
-                        result = cached
-                        self._runs[key] = result
-                if result is not None:
-                    resolved[key] = result
-            missing = [key for key in dict.fromkeys(keys) if key not in resolved]
-            span.set_attr(missing=len(missing), jobs=self.jobs)
-            if missing:
-                tasks = [
-                    (name, scale, seed, DEFAULT_MAX_INSTRUCTIONS,
-                     self.config.backend)
-                    for name, scale, seed in missing
-                ]
-                contexts = [_ctx(key) for key in missing]
-                if not any(contexts):
-                    contexts = None
-                settled_list = self._runner.map_settled(
-                    parallel._characterize_task, tasks, contexts=contexts
-                )
-                for key, settled in zip(missing, settled_list):
-                    if isinstance(settled, parallel.FailedCell):
-                        obs.metrics().counter(
-                            "experiments.batch_failures"
-                        ).inc()
-                        resolved[key] = settled
-                        continue
-                    _name, result = settled
-                    self._runs[key] = resolved[key] = result
-                    if self._cache is not None:
-                        self._cache.store(self._fingerprint(*key), result)
-            return [resolved[key] for key in keys]
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(

@@ -122,11 +122,6 @@ class Cache:
         total = self.accesses
         return self.hits / total if total else 0.0
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
-
     def __repr__(self) -> str:
         cfg = self.config
         return (

@@ -15,8 +15,8 @@ Commands:
 * ``cache stats|clear|prune`` — inspect, clear, or size-bound the
   persistent run cache (stats include persisted hit/miss counters);
 * ``serve`` — run the characterization request server: one warm
-  session answering JSON requests with single-flight coalescing,
-  batching, and bounded-queue backpressure (see docs/service.md);
+  session answering JSON requests with single-flight coalescing and
+  bounded-queue backpressure (see docs/service.md);
 * ``trace record WORKLOAD`` — execute a workload once and bank its
   execution-trace artifact in the run cache (see docs/traces.md);
 * ``trace replay WORKLOAD --tools NAME,NAME`` — answer analysis-tool
@@ -217,20 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="pending-request ceiling; beyond it requests get 429 + Retry-After",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=16,
-        metavar="N",
-        help="max distinct runs folded into one engine map",
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.02,
-        metavar="SECONDS",
-        help="how long the batcher lingers to coalesce requests",
     )
     serve.add_argument(
         "--deadline",
@@ -506,10 +492,7 @@ def _cmd_serve(args) -> None:
 
     session = _session_from_args(args, scale=args.scale, cache_default=True)
     policy = ServicePolicy(
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        batch_window_s=args.batch_window,
-        default_deadline_s=args.deadline,
+        max_queue=args.max_queue, default_deadline_s=args.deadline
     )
     service = CharacterizationService(
         session=session,

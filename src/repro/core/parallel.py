@@ -5,8 +5,10 @@ like the paper running ATOM over each BioPerf binary separately.
 :class:`ParallelRunner` fans runs out over worker processes with
 results **bit-identical** to the serial path: they come back in task
 order, and every entry point is a module-level function taking one
-picklable task tuple that names its workload.  ``jobs <= 1`` or a
-single task runs serially in the calling process.
+picklable task tuple that names its workload.  ``jobs <= 1`` runs
+serially in the calling process; at ``jobs >= 2`` every map runs in the
+workers, a map of one task included, so no task can take its caller
+down with it.
 
 Failures are isolated per task (``docs/robustness.md``).  A task that
 raises fails alone, and a worker that dies mid-task (the OOM killer, a
@@ -17,9 +19,12 @@ deterministic simulation reproduces its failure, and an interrupted
 sweep resumes from its checkpoint (:mod:`repro.core.resume`).
 
 Workers start on the first pooled map and serve later maps until
-:meth:`ParallelRunner.close` or garbage collection.  With telemetry on,
-each task ships its worker-side spans and metric deltas back for the
-parent to adopt; the capture flag travels with each task.
+:meth:`ParallelRunner.close` or garbage collection.  Each task carries
+the caller's ambient trace context (:func:`repro.obs.context.current_attrs`,
+a request ID behind ``repro serve``), installed around the task in its
+worker.  With telemetry on, each task ships its worker-side spans and
+metric deltas back for the parent to adopt; the capture flag travels
+with each task.
 """
 
 from __future__ import annotations
@@ -135,10 +140,10 @@ def describe_task(func: Callable, task: Any) -> str:
         return f"{getattr(func, '__name__', func)}({task!r})"
 
 
-def _run_task(func, task, capture: bool, ctx: Optional[dict]):
+def _run_task(func, task, capture: bool, ctx: dict):
     """One task in a worker: ``(status, value, spans, metrics)``; an
     ``"error"`` value is ``(exc_type, message, traceback)``.  ``ctx``
-    (request IDs) tags the spans shipped back."""
+    (the caller's trace context) tags the spans shipped back."""
     if capture:
         _tracing.begin_worker_capture()
         _begin_metrics_capture()
@@ -158,10 +163,12 @@ def _run_task(func, task, capture: bool, ctx: Optional[dict]):
 
 def _worker_main(conn) -> None:
     """Worker loop: receive ``(func, task, capture, ctx)``, send the
-    outcome back.  The worker drops the telemetry it inherited at fork
-    and ignores SIGINT: on Ctrl-C the parent stops the pool."""
+    outcome back.  The worker drops the telemetry and the trace context
+    it inherited at fork (each task brings its own) and ignores SIGINT:
+    on Ctrl-C the parent stops the pool."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     obs.disable()
+    _obs_context.clear()
     while True:
         try:
             message = conn.recv()
@@ -215,23 +222,20 @@ def _stop_all(pool: List[_Worker]) -> None:
 class ParallelRunner:
     """Maps a module-level ``func`` over picklable tasks, pooled or
     serially.  ``on_result(index, task, value)`` runs as each task
-    succeeds (the checkpoint hook); ``contexts`` holds one trace-context
-    dict per task (request IDs), installed around the task."""
+    succeeds (the checkpoint hook)."""
 
     def __init__(self, jobs: Optional[int] = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self._pool: List[_Worker] = []
         weakref.finalize(self, _stop_all, self._pool)
 
-    def map(self, func: Callable, tasks: Sequence, on_result=None, contexts=None) -> List:
+    def map(self, func: Callable, tasks: Sequence, on_result=None) -> List:
         """Results in task order; a failed task raises :class:`WorkerTaskError`."""
-        return self._execute(func, tasks, True, on_result, contexts)
+        return self._execute(func, tasks, True, on_result)
 
-    def map_settled(
-        self, func: Callable, tasks: Sequence, on_result=None, contexts=None
-    ) -> List:
+    def map_settled(self, func: Callable, tasks: Sequence, on_result=None) -> List:
         """Like :meth:`map`, with a :class:`FailedCell` in each failed slot."""
-        return self._execute(func, tasks, False, on_result, contexts)
+        return self._execute(func, tasks, False, on_result)
 
     def close(self) -> None:
         """Stop the workers (idempotent; a later map starts new ones)."""
@@ -252,24 +256,26 @@ class ParallelRunner:
         self.close()
         return False
 
-    def _execute(self, func, tasks, strict: bool, on_result, contexts) -> List:
+    def _execute(self, func, tasks, strict: bool, on_result) -> List:
         tasks = list(tasks)
         if not tasks:
             return []  # no span, no pool, no counters
-        contexts = [None] * len(tasks) if contexts is None else list(contexts)
-        if len(contexts) != len(tasks):
-            raise ValueError(f"{len(contexts)} contexts for {len(tasks)} tasks")
+        ctx = _obs_context.current_attrs()
         workers = min(self.jobs, len(tasks))
         name = getattr(func, "__name__", str(func))
         with obs.span("parallel.map", func=name, tasks=len(tasks), workers=workers):
             obs.metrics().gauge("parallel.workers").set(workers)
             obs.metrics().counter("parallel.tasks").inc(len(tasks))
-            run = self._run_pooled if workers > 1 else self._run_serial
-            results, failures = run(func, tasks, workers, strict, on_result, contexts)
+            if self.jobs > 1:
+                results, failures = self._run_pooled(
+                    func, tasks, workers, on_result, ctx
+                )
+            else:
+                results, failures = self._run_serial(func, tasks, strict, on_result)
         for index, (exc_type, message, *_rest) in failures.items():
             key, error = describe_task(func, tasks[index]), f"{exc_type}: {message}"
             obs.metrics().counter("parallel.failures").inc()
-            _flightrec.note("task_failed", task=key, error=error, **(contexts[index] or {}))
+            _flightrec.note("task_failed", task=key, error=error, **ctx)
             if not strict:
                 results[index] = FailedCell(key, tasks[index], error)
         if failures and strict:
@@ -280,14 +286,15 @@ class ParallelRunner:
             ) from cause
         return results
 
-    def _run_serial(self, func, tasks, _workers, strict, on_result, contexts):
-        """In-process loop; a strict map stops at its first failure and
-        chains the original exception as the error's ``__cause__``."""
+    def _run_serial(self, func, tasks, strict, on_result):
+        """In-process loop under the caller's own trace context; a strict
+        map stops at its first failure and chains the original exception
+        as the error's ``__cause__``."""
         results: List[Any] = [None] * len(tasks)
         failures: Dict[int, tuple] = {}
         for index, task in enumerate(tasks):
             try:
-                with _obs_context.use(contexts[index]), obs.span(
+                with obs.span(
                     "parallel.task", task=describe_task(func, task),
                     worker_pid=os.getpid(),
                 ):
@@ -304,7 +311,7 @@ class ParallelRunner:
                 on_result(index, task, value)
         return results, failures
 
-    def _run_pooled(self, func, tasks, workers, _strict, on_result, contexts):
+    def _run_pooled(self, func, tasks, workers, on_result, ctx):
         capture = obs.enabled()
         pool = self._pool
         # A worker still busy was abandoned mid-task by an earlier map
@@ -328,7 +335,7 @@ class ParallelRunner:
             detail = (f"worker pid {worker.process.pid} died mid-task "
                       f"(exit code {worker.process.exitcode})")
             extra = {"task": describe_task(func, tasks[index]), "detail": detail,
-                     **(contexts[index] or {})}
+                     **ctx}
             obs.metrics().counter("parallel.worker_deaths").inc()
             _flightrec.note("worker_died", **extra)
             recorder = _flightrec.get_recorder()
@@ -342,7 +349,7 @@ class ParallelRunner:
                 if pending and worker.index is None:
                     index = pending.pop()
                     try:
-                        worker.conn.send((func, tasks[index], capture, contexts[index]))
+                        worker.conn.send((func, tasks[index], capture, ctx))
                         worker.index = index
                     except OSError:  # it died while idle
                         settled += 1

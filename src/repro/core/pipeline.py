@@ -10,7 +10,7 @@ speedup.  :func:`harmonic_mean_speedup` aggregates per Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, Optional
 
 from repro.cpu.platforms import PlatformConfig, make_timing_model
 from repro.cpu.ooo import TimingResult
@@ -94,22 +94,3 @@ def harmonic_mean_speedup(speedups: Iterable[float]) -> float:
         return 0.0
     return len(factors) / sum(1.0 / f for f in factors) - 1.0
 
-
-def evaluate_all(
-    specs: Iterable[WorkloadSpec],
-    platforms: Iterable[PlatformConfig],
-    scale: str = "medium",
-    seed: int = 0,
-) -> Dict[str, List[EvaluationResult]]:
-    """Table 8: every amenable workload on every platform.
-
-    Returns ``{platform short name: [EvaluationResult per workload]}``.
-    """
-    out: Dict[str, List[EvaluationResult]] = {}
-    for platform in platforms:
-        rows = [
-            evaluate_workload(spec, platform, scale=scale, seed=seed)
-            for spec in specs
-        ]
-        out[platform.name] = rows
-    return out

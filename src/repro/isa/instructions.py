@@ -17,7 +17,7 @@ paper reasons about ``mc``/``dpp``/``tpdm`` in Figure 5.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from repro.isa.registers import Reg
@@ -222,9 +222,6 @@ class Instruction:
     def writes(self) -> Optional[Reg]:
         """Register this instruction writes, or None."""
         return self.dest
-
-    def with_srcs(self, srcs: Tuple[Reg, ...]) -> "Instruction":
-        return replace(self, srcs=srcs)
 
     # -- rendering ----------------------------------------------------------
     def __str__(self) -> str:  # pragma: no cover - formatting convenience

@@ -1,19 +1,19 @@
 """Structured access log: one JSONL record per served request.
 
 Every request the characterization service resolves — fast-path hit,
-batched run, coalesced follower, deadline miss, worker failure, door
+engine run, coalesced follower, deadline miss, worker failure, door
 rejection — produces exactly one record:
 
     {"type": "access", "ts": ..., "request_id": "req-...",
      "kind": "characterize", "workload": "hmmsearch", "id": "<fp>",
      "status": 200, "outcome": "ok", "cached": false,
-     "coalesced_into": null, "batch_size": 3, "backend": "compiled",
-     "stages_ms": {"queue": 1.2, "batch": 0.1, "exec": 40.3,
-                   "total": 41.8}}
+     "backend": "compiled",
+     "stages_ms": {"queue": 1.2, "exec": 40.3, "total": 41.8}}
 
-``stages_ms`` decomposes the request's life: **queue** (submission →
-the batcher popped its flight), **batch** (pop → engine dispatch),
-**exec** (the engine map), **total** (submission → resolution).
+plus ``coalesced_into`` (the leader's request ID) on a follower that
+joined an in-flight run.  ``stages_ms`` decomposes the request's life:
+**queue** (submission → the batcher popped its flight), **exec** (the
+session call), **total** (submission → resolution).
 
 The log keeps a bounded in-memory tail (for ``/healthz``, the flight
 recorder, and tests) and optionally appends JSONL to a file that

@@ -40,6 +40,7 @@ from typing import Any, Dict, Iterator, Optional, Union
 __all__ = [
     "REQUEST_ID_HEADER",
     "TraceContext",
+    "clear",
     "current",
     "current_attrs",
     "mint_request_id",
@@ -122,6 +123,12 @@ def use(
         elif context in stack:  # out-of-order exit: drop through to it
             while stack and stack.pop() is not context:
                 pass
+
+
+def clear() -> None:
+    """Drop this thread's ambient context stack — what a forked worker
+    process inherited from the thread that started it."""
+    _stack().clear()
 
 
 def current() -> Optional[TraceContext]:

@@ -1,10 +1,11 @@
-"""Characterization-as-a-service: an async batching server over the
+"""Characterization-as-a-service: an async request server over the
 :class:`repro.api.Session` facade.
 
 One warm session (compiled-code cache, run cache, long-lived worker
-pool) answers many requests: identical in-flight requests coalesce
-(single-flight on the run-cache fingerprint), compatible requests
-batch into one engine map, bounded queues reject with 429-style
+pool) answers many requests: memoized runs are answered in the
+caller's thread, identical in-flight requests coalesce (single-flight
+on the run-cache fingerprint), every other request is one session call
+on one dispatch thread, bounded queues reject with 429-style
 backpressure, and a request answered after its deadline gets a 504.
 ``python -m repro serve`` starts the HTTP door; :class:`ServiceClient`
 is the in-process equivalent for tests and benchmarks.  Protocol and

@@ -6,8 +6,8 @@ the pending-request ceiling is reached the request is **rejected
 immediately** with a 429-style ``queue_full`` error and a
 ``retry_after_s`` estimate, instead of joining an ever-growing queue
 whose tail latency nobody can meet.  The estimate is honest: it is the
-observed EWMA batch service time multiplied by the number of batches
-already ahead in line.
+observed EWMA service time of one flight (one engine run) multiplied
+by the number of requests already ahead in line.
 
 Deadlines are tracked against the monotonic clock from the moment a
 request is admitted; the batcher checks them when a request resolves
@@ -30,19 +30,15 @@ __all__ = ["AdmissionController", "Deadline", "QueueFull", "ServicePolicy"]
 
 @dataclass(frozen=True)
 class ServicePolicy:
-    """The knobs of the batching server, in one immutable bundle.
+    """The knobs of the server, in one immutable bundle.
 
     ``max_queue`` caps admitted-but-unresolved requests (followers that
     single-flight onto an in-flight run do not consume a slot);
-    ``max_batch`` bounds how many distinct runs one engine map may
-    carry; ``batch_window_s`` is how long the batcher lingers for
-    coalescing after the first request arrives; ``default_deadline_s``
-    applies to requests that do not carry their own ``deadline_s``.
+    ``default_deadline_s`` applies to requests that do not carry their
+    own ``deadline_s``.
     """
 
     max_queue: int = 64
-    max_batch: int = 16
-    batch_window_s: float = 0.02
     default_deadline_s: Optional[float] = None
 
 
@@ -66,9 +62,6 @@ class Deadline:
     def __init__(self, seconds: Optional[float]):
         self.at = None if seconds is None else time.monotonic() + seconds
 
-    def remaining(self) -> Optional[float]:
-        return None if self.at is None else self.at - time.monotonic()
-
     @property
     def expired(self) -> bool:
         return self.at is not None and time.monotonic() > self.at
@@ -77,16 +70,16 @@ class Deadline:
 class AdmissionController:
     """Thread-safe pending-request accounting and backpressure.
 
-    ``try_admit`` either takes a queue slot or raises :class:`QueueFull`;
-    ``release`` returns slots as requests resolve.  ``observe_batch``
-    feeds the service-time EWMA behind :meth:`retry_after`.
+    ``try_admit`` either takes a queue slot or raises :class:`QueueFull`
+    with a retry hint; ``release`` returns slots as requests resolve.
+    ``observe_flight`` feeds the service-time EWMA behind the hint.
     """
 
     def __init__(self, policy: ServicePolicy):
         self.policy = policy
         self._lock = threading.Lock()
         self._depth = 0
-        self._ewma_batch_s: Optional[float] = None
+        self._ewma_flight_s: Optional[float] = None
 
     @property
     def depth(self) -> int:
@@ -106,20 +99,15 @@ class AdmissionController:
             self._depth = max(0, self._depth - count)
             obs.metrics().gauge("serve.queue_depth").set(self._depth)
 
-    def observe_batch(self, seconds: float) -> None:
-        """Fold one batch's wall time into the service-time EWMA."""
+    def observe_flight(self, seconds: float) -> None:
+        """Fold one flight's wall time into the service-time EWMA."""
         with self._lock:
-            if self._ewma_batch_s is None:
-                self._ewma_batch_s = seconds
+            if self._ewma_flight_s is None:
+                self._ewma_flight_s = seconds
             else:
-                self._ewma_batch_s = 0.7 * self._ewma_batch_s + 0.3 * seconds
+                self._ewma_flight_s = 0.7 * self._ewma_flight_s + 0.3 * seconds
 
     def _retry_after_locked(self) -> float:
-        batch_s = self._ewma_batch_s if self._ewma_batch_s else 0.1
-        batches_ahead = max(1, -(-self._depth // self.policy.max_batch))
-        return max(0.05, batch_s * batches_ahead)
-
-    def retry_after(self) -> float:
-        """Honest wait estimate: EWMA batch time x batches ahead."""
-        with self._lock:
-            return self._retry_after_locked()
+        """Honest wait estimate: EWMA flight time x requests ahead."""
+        flight_s = self._ewma_flight_s if self._ewma_flight_s else 0.1
+        return max(0.05, flight_s * max(1, self._depth))

@@ -1,9 +1,8 @@
-"""Request coalescing: single-flight, batching, deadlines.
+"""Request coalescing: memo fast path, single-flight, deadlines.
 
 The batcher is the only component that talks to the engine, and it
 talks to it through exactly one door: the :class:`repro.api.Session`
-facade.  Three mechanisms turn a stream of independent requests into
-amortized engine work:
+facade.  Two mechanisms keep repeat requests off the engine:
 
 * **memo fast path** — a characterize request whose run the session
   has already materialized is answered synchronously in the submitting
@@ -12,33 +11,36 @@ amortized engine work:
   the run-cache ``workload_fingerprint``, the one source of run
   identity) share one in-flight computation: followers attach a waiter
   to the existing flight instead of consuming a queue slot
-  (``serve.singleflight_hits``);
-* **batching** — the dispatch thread lingers ``batch_window_s`` after
-  the first pending flight, then folds up to ``max_batch`` distinct
-  characterize runs into **one** :meth:`Session.characterize_many`
-  call — one engine map over the session's warm workers.
+  (``serve.singleflight_hits``).
+
+Every other request becomes a flight on a FIFO queue.  One dispatch
+thread takes one flight at a time and runs it through one session
+call: characterize through :meth:`Session.run`, analyze, evaluate and
+sweep through their namesakes.  Whatever the call maps over the
+session's runner runs in its worker pool at ``jobs >= 2`` — a lone
+characterize run included — so a run that kills its worker fails only
+its own request.
 
 Deadlines are checked when a request resolves: a request whose
 deadline has passed gets a ``deadline_exceeded`` error even when the
-run itself succeeded — the result still lands in the session memo and
-run cache, so the client's retry is a fast-path hit.  A request that
-expires while queued is never run.
+run itself succeeded — a characterize result still lands in the
+session memo and run cache, so the client's retry is a fast-path hit.
+A request that expires while queued is never run.
 
 A run that fails (its task raised, or its worker died) resolves its
-waiters with a ``task_failed`` error; the rest of the batch and the
-batcher thread itself carry on.
+waiters with a ``task_failed`` error; the batcher thread carries on.
 
-Observability (PR 7): every waiter carries the request's
+Observability: every waiter carries the request's
 :class:`~repro.obs.context.TraceContext`; a coalesced follower's
-context names the leader request it joined.  The flight records when
-it was popped from the queue and when engine work started/ended, so
-each response can report per-stage timings (queue wait, batch
-formation, execution, total).  Those travel to the service layer in a
-private ``_obs`` envelope field (stripped before the response leaves
-the service) where they become the access-log record and the labeled
-``serve.requests`` / ``serve.stage_ms`` metrics.  Request IDs are
-passed to :meth:`Session.characterize_many` as per-spec tags so
-worker-side spans carry the originating request identity.
+context names the leader request it joined.  A flight runs under its
+leader's context, which the session's runner ships with each task, so
+worker-side spans carry the request ID.  The flight records when it
+was popped from the queue and when engine work started/ended, so each
+response can report per-stage timings (queue wait, execution, total).
+Those travel to the service layer in a private ``_obs`` envelope field
+(stripped before the response leaves the service) where they become
+the access-log record and the labeled ``serve.requests`` /
+``serve.stage_ms`` metrics.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from concurrent.futures import Future
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.parallel import FailedCell
+from repro.obs import context as _context
 from repro.obs import flightrec as _flightrec
 from repro.obs.context import TraceContext, mint_request_id
 from repro.serve import protocol
@@ -85,7 +87,7 @@ class _Flight:
     waiter; per-waiter queue/total times differ only by ``enqueued``.
     The first waiter's request ID is the flight's **leader** identity:
     later coalescers record it as ``coalesced_into`` and the engine
-    task is tagged with it.
+    work runs under it.
     """
 
     __slots__ = (
@@ -122,7 +124,6 @@ class _Flight:
         exec_end = self.exec_end if self.exec_end is not None else exec_start
         return {
             "queue": round(max(0.0, popped - waiter.enqueued) * 1e3, 3),
-            "batch": round(max(0.0, exec_start - popped) * 1e3, 3),
             "exec": round(max(0.0, exec_end - exec_start) * 1e3, 3),
             "total": round(max(0.0, now - waiter.enqueued) * 1e3, 3),
         }
@@ -191,12 +192,12 @@ class Batcher:
                     request.kind,
                     payload,
                     cached=True,
-                    elapsed_ms=0.0,
+                    elapsed_ms=elapsed_ms,
                     request_id=ctx.request_id,
                 )
-                # A memo hit never queues, batches, or executes — only
-                # ``total`` is a real stage (and observing three zeros
-                # per hit would dominate the fast path's cost).
+                # A memo hit never queues or executes — only ``total``
+                # is a real stage (and observing two zeros per hit
+                # would dominate the fast path's cost).
                 body["_obs"] = {
                     "workload": request.workload,
                     "kind": request.kind,
@@ -205,7 +206,6 @@ class Batcher:
                     "stages_ms": {"total": round(elapsed_ms, 3)},
                 }
                 future.set_result((200, body))
-                self._observe_latency(0.0)
                 return future
 
         with self._cond:
@@ -277,99 +277,106 @@ class Batcher:
             with self._cond:
                 while not self._queue and not self._stop:
                     self._cond.wait()
-                if self._stop and not self._queue:
+                if not self._queue:
                     return
-            if not self._stop:
-                self._linger()
-            with self._cond:
-                count = min(len(self._queue), self._policy.max_batch)
-                batch = [self._queue.popleft() for _ in range(count)]
-            now = time.monotonic()
-            for flight in batch:
-                flight.popped = now
-            if batch:
-                self._run_batch(batch)
+                flight = self._queue.popleft()
+            flight.popped = time.monotonic()
+            self._run(flight)
 
-    def _linger(self) -> None:
-        """Wait out the coalescing window (or until a full batch)."""
-        end = time.monotonic() + self._policy.batch_window_s
-        while time.monotonic() < end:
-            with self._cond:
-                if len(self._queue) >= self._policy.max_batch or self._stop:
-                    return
-            time.sleep(min(0.005, self._policy.batch_window_s))
-
-    def _run_batch(self, batch: List[_Flight]) -> None:
+    def _run(self, flight: _Flight) -> None:
+        """One flight through one session call, under its leader's trace
+        context; every waiter is answered by the success or the error
+        responder."""
         started = time.monotonic()
-        obs.metrics().counter("serve.batches").inc()
-        obs.metrics().histogram("serve.batch_size").observe(len(batch))
+        request = flight.request
         try:
-            characterize = [
-                f for f in batch if f.request.kind == "characterize"
-            ]
-            others = [f for f in batch if f.request.kind != "characterize"]
-            live: List[_Flight] = []
-            for flight in characterize:
-                if all(w.deadline.expired for w in flight.waiters):
-                    self._resolve_expired(flight)
-                else:
-                    live.append(flight)
-            if live:
-                specs = [
-                    (f.request.workload, f.request.scale, f.request.seed)
-                    for f in live
-                ]
-                # Tag each engine task with the leader request that
-                # caused it, so worker-side spans carry the request ID.
-                tags = [
-                    (
-                        {"request_id": f.leader_id}
-                        if f.leader_id is not None
-                        else None
-                    )
-                    for f in live
-                ]
-                exec_start = time.monotonic()
-                for flight in live:
-                    flight.exec_start = exec_start
-                outcomes = self._session.characterize_many(specs, tags=tags)
-                exec_end = time.monotonic()
-                for flight in live:
-                    flight.exec_end = exec_end
-                for flight, outcome in zip(live, outcomes):
-                    self._finish_characterize(
-                        flight, outcome, batch_size=len(live)
-                    )
-            for flight in others:
-                self._run_single(flight)
+            if all(w.deadline.expired for w in flight.waiters):
+                obs.metrics().counter("serve.deadline_exceeded").inc(
+                    len(flight.waiters)
+                )
+                self._resolve(
+                    flight,
+                    self._error_responder(
+                        flight,
+                        504,
+                        "deadline_exceeded",
+                        "request deadline passed while queued",
+                    ),
+                )
+                return
+            leader = flight.leader_id
+            flight.exec_start = time.monotonic()
+            try:
+                with _context.use(TraceContext(leader) if leader else None):
+                    payload = self._call_session(request)
+            except Exception as exc:  # noqa: BLE001 - per-request error, not a crash
+                flight.exec_end = time.monotonic()
+                obs.metrics().counter("serve.task_failures").inc()
+                message = f"{type(exc).__name__}: {exc}"
+                _flightrec.note(
+                    "request_failed",
+                    request_id=leader,
+                    workload=request.workload,
+                    error=message,
+                )
+                self._resolve(
+                    flight,
+                    self._error_responder(flight, 502, "task_failed", message),
+                )
+                return
+            flight.exec_end = time.monotonic()
+            if request.kind == "characterize":
+                self._record_run(flight.key, request, payload)
+            self._resolve(flight, self._ok_responder(flight, payload))
         except Exception as exc:  # noqa: BLE001 - the server must survive
             obs.metrics().counter("serve.internal_errors").inc()
             message = f"{type(exc).__name__}: {exc}"
-            _flightrec.note(
-                "batch_internal_error",
-                error=message,
-                flights=[f.key for f in batch],
-            )
-            for flight in batch:
-                if not flight.done:
-                    self._resolve(
-                        flight,
-                        self._error_responder(
-                            flight, 500, "internal", message
-                        ),
-                    )
+            _flightrec.note("internal_error", error=message, flight=flight.key)
+            if not flight.done:
+                self._resolve(
+                    flight,
+                    self._error_responder(flight, 500, "internal", message),
+                )
         finally:
-            self._admission.observe_batch(time.monotonic() - started)
+            self._admission.observe_flight(time.monotonic() - started)
+
+    def _call_session(self, request: protocol.ServiceRequest) -> Dict[str, Any]:
+        """The session call a request kind maps to, as its canonical
+        payload.  An analyze result lands in the session's trace store,
+        so the retry after a deadline miss replays the stored trace
+        instead of re-executing."""
+        session = self._session
+        if request.kind == "characterize":
+            result = session.run(
+                request.workload, scale=request.scale, seed=request.seed
+            )
+            return protocol.characterization_payload(request.workload, result)
+        if request.kind == "analyze":
+            analysis = session.analyze(
+                request.workload,
+                tools=list(request.tools) if request.tools is not None else None,
+                scale=request.scale,
+                seed=request.seed,
+            )
+            return protocol.analyze_payload(analysis)
+        if request.kind == "evaluate":
+            evaluation = session.evaluate(
+                request.workload, platform=request.platform, scale=request.scale
+            )
+            return protocol.evaluation_payload(evaluation)
+        extra = {} if request.scale is None else {"scale": request.scale}
+        points = session.sweep(
+            request.workload,
+            request.field,
+            list(request.values or ()),
+            kind=request.sweep_kind,
+            **extra,
+        )
+        return protocol.sweep_payload(request.field, points)
 
     # -- resolution ----------------------------------------------------------
     def _obs_fields(
-        self,
-        flight: _Flight,
-        waiter: _Waiter,
-        now: float,
-        *,
-        cached: bool = False,
-        batch_size: Optional[int] = None,
+        self, flight: _Flight, waiter: _Waiter, now: float
     ) -> Dict[str, Any]:
         """The private ``_obs`` block the service layer turns into the
         access-log record; stripped before the response hits the wire."""
@@ -378,166 +385,16 @@ class Batcher:
             "workload": request.workload,
             "kind": request.kind,
             "id": flight.key,
-            "cached": cached,
+            "cached": False,
             "stages_ms": flight.stages_ms(waiter, now),
         }
-        if batch_size is not None:
-            fields["batch_size"] = batch_size
         if waiter.ctx is not None and waiter.ctx.coalesced_into is not None:
             fields["coalesced_into"] = waiter.ctx.coalesced_into
         return fields
 
-    def _error_responder(
-        self,
-        flight: _Flight,
-        status: int,
-        code: str,
-        message: str,
-        batch_size: Optional[int] = None,
-    ):
-        """A per-waiter responder for one error outcome: each waiter's
-        envelope echoes its own request ID and stage timings."""
-
-        def _respond(waiter: _Waiter) -> Tuple[int, Dict[str, Any]]:
-            body = protocol.error_body(
-                code,
-                message,
-                request_id=(
-                    waiter.ctx.request_id if waiter.ctx is not None else None
-                ),
-            )
-            body["_obs"] = self._obs_fields(
-                flight, waiter, time.monotonic(), batch_size=batch_size
-            )
-            return status, body
-
-        return _respond
-
-    def _finish_characterize(
-        self,
-        flight: _Flight,
-        outcome,
-        batch_size: Optional[int] = None,
-    ) -> None:
-        request = flight.request
-        if isinstance(outcome, FailedCell):
-            obs.metrics().counter("serve.task_failures").inc()
-            message = f"{outcome.description}: {outcome.error}"
-            _flightrec.note(
-                "request_failed",
-                request_id=flight.leader_id,
-                workload=request.workload,
-                error=message,
-            )
-            self._resolve(
-                flight,
-                self._error_responder(
-                    flight, 502, "task_failed", message, batch_size=batch_size
-                ),
-            )
-            return
-        payload = protocol.characterization_payload(request.workload, outcome)
-        self._record_run(flight.key, request, payload)
-
-        def _respond(waiter: _Waiter) -> Tuple[int, Dict[str, Any]]:
-            now = time.monotonic()
-            rid = waiter.ctx.request_id if waiter.ctx is not None else None
-            if waiter.deadline.expired:
-                obs.metrics().counter("serve.deadline_exceeded").inc()
-                body = protocol.error_body(
-                    "deadline_exceeded",
-                    "run completed after the request deadline; "
-                    "it is cached — retry to fetch it",
-                    request_id=rid,
-                )
-                body["_obs"] = self._obs_fields(
-                    flight, waiter, now, batch_size=batch_size
-                )
-                return 504, body
-            elapsed_ms = (now - waiter.enqueued) * 1e3
-            body = protocol.ok_body(
-                flight.key,
-                request.kind,
-                payload,
-                cached=False,
-                elapsed_ms=elapsed_ms,
-                request_id=rid,
-                coalesced_into=(
-                    waiter.ctx.coalesced_into
-                    if waiter.ctx is not None
-                    else None
-                ),
-            )
-            body["_obs"] = self._obs_fields(
-                flight, waiter, now, batch_size=batch_size
-            )
-            return 200, body
-
-        self._resolve(flight, _respond)
-
-    def _run_single(self, flight: _Flight) -> None:
-        """One evaluate/sweep/analyze request through the session
-        facade.  Analyze runs in this thread (the trace record path is
-        single-process; replay is cheap), and its result lands in the
-        session's trace store — the retry after a deadline miss replays
-        the stored trace instead of re-executing."""
-        request = flight.request
-        if all(w.deadline.expired for w in flight.waiters):
-            self._resolve_expired(flight)
-            return
-        ctx = TraceContext(flight.leader_id) if flight.leader_id else None
-        flight.exec_start = time.monotonic()
-        try:
-            from repro.obs import context as _context
-
-            with _context.use(ctx):
-                if request.kind == "analyze":
-                    analysis = self._session.analyze(
-                        request.workload,
-                        tools=(
-                            list(request.tools)
-                            if request.tools is not None
-                            else None
-                        ),
-                        scale=request.scale,
-                        seed=request.seed,
-                    )
-                    payload = protocol.analyze_payload(analysis)
-                elif request.kind == "evaluate":
-                    evaluation = self._session.evaluate(
-                        request.workload,
-                        platform=request.platform,
-                        scale=request.scale,
-                    )
-                    payload = protocol.evaluation_payload(evaluation)
-                else:
-                    extra = (
-                        {} if request.scale is None else {"scale": request.scale}
-                    )
-                    points = self._session.sweep(
-                        request.workload,
-                        request.field,
-                        list(request.values or ()),
-                        kind=request.sweep_kind,
-                        **extra,
-                    )
-                    payload = protocol.sweep_payload(request.field, points)
-        except Exception as exc:  # noqa: BLE001 - per-request error, not a crash
-            flight.exec_end = time.monotonic()
-            obs.metrics().counter("serve.task_failures").inc()
-            message = f"{type(exc).__name__}: {exc}"
-            _flightrec.note(
-                "request_failed",
-                request_id=flight.leader_id,
-                workload=request.workload,
-                error=message,
-            )
-            self._resolve(
-                flight,
-                self._error_responder(flight, 502, "task_failed", message),
-            )
-            return
-        flight.exec_end = time.monotonic()
+    def _ok_responder(self, flight: _Flight, payload: Dict[str, Any]):
+        """The per-waiter responder for a completed run: the payload, or
+        ``deadline_exceeded`` for a waiter whose deadline passed."""
 
         def _respond(waiter: _Waiter) -> Tuple[int, Dict[str, Any]]:
             now = time.monotonic()
@@ -551,36 +408,40 @@ class Batcher:
                 )
                 body["_obs"] = self._obs_fields(flight, waiter, now)
                 return 504, body
-            elapsed_ms = (now - waiter.enqueued) * 1e3
             body = protocol.ok_body(
                 flight.key,
-                request.kind,
+                flight.request.kind,
                 payload,
                 cached=False,
-                elapsed_ms=elapsed_ms,
+                elapsed_ms=(now - waiter.enqueued) * 1e3,
                 request_id=rid,
                 coalesced_into=(
-                    waiter.ctx.coalesced_into
-                    if waiter.ctx is not None
-                    else None
+                    waiter.ctx.coalesced_into if waiter.ctx is not None else None
                 ),
             )
             body["_obs"] = self._obs_fields(flight, waiter, now)
             return 200, body
 
-        self._resolve(flight, _respond)
+        return _respond
 
-    def _resolve_expired(self, flight: _Flight) -> None:
-        obs.metrics().counter("serve.deadline_exceeded").inc(len(flight.waiters))
-        self._resolve(
-            flight,
-            self._error_responder(
-                flight,
-                504,
-                "deadline_exceeded",
-                "request deadline passed while queued",
-            ),
-        )
+    def _error_responder(
+        self, flight: _Flight, status: int, code: str, message: str
+    ):
+        """A per-waiter responder for one error outcome: each waiter's
+        envelope echoes its own request ID and stage timings."""
+
+        def _respond(waiter: _Waiter) -> Tuple[int, Dict[str, Any]]:
+            body = protocol.error_body(
+                code,
+                message,
+                request_id=(
+                    waiter.ctx.request_id if waiter.ctx is not None else None
+                ),
+            )
+            body["_obs"] = self._obs_fields(flight, waiter, time.monotonic())
+            return status, body
+
+        return _respond
 
     def _resolve(self, flight: _Flight, respond) -> None:
         """Answer every waiter and return the flight's queue slot."""
@@ -589,16 +450,11 @@ class Batcher:
             self._inflight.pop(flight.key, None)
             waiters = list(flight.waiters)
         for waiter in waiters:
-            self._observe_latency(time.monotonic() - waiter.enqueued)
             try:
                 waiter.future.set_result(respond(waiter))
             except Exception:  # future already cancelled/set
                 pass
         self._admission.release(1)
-
-    @staticmethod
-    def _observe_latency(seconds: float) -> None:
-        obs.metrics().histogram("serve.latency_ms").observe(seconds * 1e3)
 
     # -- run registry ---------------------------------------------------------
     def _record_run(

@@ -64,7 +64,6 @@ HTTP_STATUS: Dict[str, int] = {
     "queue_full": 429,
     "internal": 500,
     "task_failed": 502,
-    "unavailable": 503,
     "deadline_exceeded": 504,
 }
 

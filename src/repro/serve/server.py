@@ -77,7 +77,7 @@ class PlainText(str):
 
 
 class CharacterizationService:
-    """The batching characterization service over one warm session.
+    """The characterization service over one warm session.
 
     ``session`` may be shared/pre-warmed; when None one is built from
     ``config`` (default: ``scale="test"``) and
@@ -141,7 +141,7 @@ class CharacterizationService:
     def handle_post(
         self, path: str, payload: Any, request_id: Optional[str] = None
     ) -> Tuple[int, Dict[str, Any]]:
-        """One request through parse → admit → batch → respond.
+        """One request through parse → admit → run → respond.
 
         ``request_id`` is the raw inbound ``X-Repro-Request-Id`` value
         (None when absent); the resolved ID is echoed in every response
@@ -243,9 +243,8 @@ class CharacterizationService:
             "backend": self.session.backend,
             "stages_ms": stages or None,
         }
-        for optional in ("batch_size", "coalesced_into"):
-            if optional in obs_fields:
-                record[optional] = obs_fields[optional]
+        if "coalesced_into" in obs_fields:
+            record["coalesced_into"] = obs_fields["coalesced_into"]
         if self.access_log is not None:
             self.access_log.log(**record)
         if status >= 500:
@@ -389,7 +388,6 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
     502: "Bad Gateway",
-    503: "Service Unavailable",
     504: "Gateway Timeout",
 }
 
@@ -412,9 +410,7 @@ def _encode_response(status: int, body: Any) -> bytes:
         if request_id is not None:
             headers.append(f"{REQUEST_ID_HEADER}: {request_id}")
         retry = (
-            body.get("error", {}).get("retry_after_s")
-            if status in (429, 503)
-            else None
+            body.get("error", {}).get("retry_after_s") if status == 429 else None
         )
         if retry is not None:
             headers.append(f"Retry-After: {max(1, int(-(-retry // 1)))}")

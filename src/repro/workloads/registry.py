@@ -119,22 +119,6 @@ def _compile_cached(name: str, key: tuple, source: str, options) -> Program:
     return program
 
 
-def _line_diff(a: List[str], b: List[str]) -> List[str]:
-    """Non-empty stripped lines of ``a`` not present in ``b`` (multiset)."""
-    from collections import Counter
-
-    remaining = Counter(line for line in b if line)
-    out = []
-    for line in a:
-        if not line:
-            continue
-        if remaining[line] > 0:
-            remaining[line] -= 1
-        else:
-            out.append(line)
-    return out
-
-
 def _table8(alpha, powerpc, pentium4, itanium) -> Dict[str, Tuple[float, float]]:
     runtimes = {}
     for key, value in (

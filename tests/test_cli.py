@@ -132,9 +132,9 @@ def test_trace_env_var(capsys, tmp_path, monkeypatch):
 
 
 def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
-    """The deleted ``batched`` backend, cluster flags, retry/timeout/
-    fault-injection inputs and ``bench`` command are errors naming the
-    value, never a silent fallback."""
+    """The deleted ``batched`` backend, cluster and batch-window flags,
+    retry/timeout/fault-injection inputs and ``bench`` command are errors
+    naming the value, never a silent fallback."""
     from repro.api import Session
     from repro.exec.backends import resolve_backend
 
@@ -147,10 +147,12 @@ def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
         Session(cache=False)
     monkeypatch.delenv("REPRO_BACKEND")
 
-    with pytest.raises(SystemExit) as info:
-        main(["serve", "--replicas", "2"])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --replicas 2" in capsys.readouterr().err
+    for flag in (["--replicas", "2"], ["--max-batch", "4"],
+                 ["--batch-window", "0.1"]):
+        with pytest.raises(SystemExit) as info:
+            main(["serve"] + flag)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     with pytest.raises(SystemExit) as info:
         main(["bench", "compare"])

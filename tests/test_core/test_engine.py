@@ -11,6 +11,8 @@ import pytest
 from repro import obs
 from repro.api import Session
 from repro.core.parallel import FailedCell, ParallelRunner, WorkerTaskError
+from repro.obs import context
+from repro.obs.context import TraceContext
 
 #: The test process itself; the killing task below only ever kills a
 #: worker, never pytest (a serial fallback would run it in-parent).
@@ -126,6 +128,39 @@ def test_real_worker_death_without_retries_is_a_failure():
     assert [r for i, r in enumerate(results) if i != 3] == [
         v for i, v in enumerate(serial) if i != 3
     ]
+
+
+def test_one_task_map_runs_in_a_worker_at_two_jobs():
+    """At ``jobs >= 2`` a lone task is isolated too: its worker's death
+    fails the task, not the caller, and the replacement serves on."""
+    with ParallelRunner(jobs=2) as runner:
+        (cell,) = runner.map_settled(_sigkill_on_three, [3])
+        assert isinstance(cell, FailedCell)
+        assert cell.error.startswith("WorkerCrash: ")
+        assert runner.map(_double, [4]) == [8]
+        assert [w["alive"] for w in runner.liveness()] == [True]
+
+
+def test_tasks_carry_the_callers_trace_context_and_no_other():
+    """Each task runs under its caller's ambient context at dispatch; a
+    worker forked under one request does not tag later tasks with it."""
+    with ParallelRunner(jobs=2) as runner:
+        obs.enable()
+        try:
+            with context.use(TraceContext("req-first")):
+                runner.map(_double, [1, 2])  # the workers fork here
+            runner.map(_double, [3, 4])
+            with context.use(TraceContext("req-third")):
+                runner.map(_double, [5, 6])
+            spans = [r for r in obs.get_tracer().drain() if r.name == "parallel.task"]
+        finally:
+            obs.disable()
+    assert {span.pid for span in spans} != {PARENT_PID}
+    assert {span.attrs["task"]: span.attrs.get("request_id") for span in spans} == {
+        "_double(1)": "req-first", "_double(2)": "req-first",
+        "_double(3)": None, "_double(4)": None,
+        "_double(5)": "req-third", "_double(6)": "req-third",
+    }
 
 
 # -- worker lifetime ---------------------------------------------------------

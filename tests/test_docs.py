@@ -251,10 +251,10 @@ REQUIRED_ANCHORS = {
                   "docs/service.md", "FailedCell"],
     os.path.join("docs", "architecture.md"): [
         "repro.api.Session", "workload_fingerprint", "/runs/",
-        "characterize_many", "429 queue_full", "shared run cache",
+        "Session.run", "429 queue_full", "shared run cache",
     ],
     os.path.join("docs", "service.md"): [
-        "--max-queue", "--max-batch", "--batch-window", "--deadline",
+        "--max-queue", "`--jobs 2` or more", "requests ahead", "--deadline",
         "/healthz", "/metrics", "/v1/characterize", "/v1/submit",
         "queue_full", "deadline_exceeded", "task_failed",
         "ServiceClient", "retry_after_s", "serve.singleflight_hits",

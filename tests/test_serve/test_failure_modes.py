@@ -83,26 +83,8 @@ def _evaluation(workload, platform):
     )
 
 
-def _service(session, policy):
+def _service(session, policy=None):
     return CharacterizationService(session=session, policy=policy)
-
-
-def _concurrent(client, requests):
-    """Issue ``(workload, request_id)`` characterize requests at once,
-    so they land in one batch window; responses keyed by request ID."""
-    results = {}
-
-    def issue(workload, rid):
-        results[rid] = client.request(
-            {"kind": "characterize", "workload": workload}, request_id=rid
-        )
-
-    threads = [threading.Thread(target=issue, args=pair) for pair in requests]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-    return results
 
 
 class TestDeadlines:
@@ -111,9 +93,7 @@ class TestDeadlines:
             time.sleep(0.25)
             return _evaluation(workload, platform)
 
-        svc = _service(
-            StubSession(evaluate=slow), ServicePolicy(batch_window_s=0.01)
-        )
+        svc = _service(StubSession(evaluate=slow))
         try:
             status, body = ServiceClient(svc).evaluate(
                 "predator", deadline_s=0.05
@@ -126,25 +106,48 @@ class TestDeadlines:
             svc.close()
 
     def test_deadline_expired_while_queued(self):
-        # A coalescing window longer than the deadline: the request
-        # expires before dispatch and is never run at all.
+        # A first request holds the dispatch thread; the second waits in
+        # the queue past its deadline and is never run at all.
+        entered, release = threading.Event(), threading.Event()
         ran = []
 
         def record(workload, platform, _scale):
             ran.append(workload)
+            if workload == "hmmsearch":
+                entered.set()
+                release.wait(10)
             return _evaluation(workload, platform)
 
-        svc = _service(
-            StubSession(evaluate=record), ServicePolicy(batch_window_s=0.3)
-        )
+        svc = _service(StubSession(evaluate=record))
         try:
-            status, body = ServiceClient(svc).evaluate(
-                "predator", deadline_s=0.01
+            client = ServiceClient(svc)
+            first = threading.Thread(
+                target=client.evaluate, args=("hmmsearch",)
             )
+            first.start()
+            assert entered.wait(10), "the first request never ran"
+            results = []
+            second = threading.Thread(
+                target=lambda: results.append(
+                    client.evaluate("predator", deadline_s=0.01)
+                )
+            )
+            second.start()
+            deadline = time.monotonic() + 5.0
+            while svc.batcher.pending < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert svc.batcher.pending == 1, "the second request never queued"
+            time.sleep(0.05)  # past the second request's deadline
+            release.set()
+            for thread in (first, second):
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            (status, body), = results
             assert status == 504
             assert body["error"]["code"] == "deadline_exceeded"
-            assert ran == []
+            assert ran == ["hmmsearch"]
         finally:
+            release.set()
             svc.close()
 
     def test_default_deadline_from_policy(self):
@@ -154,7 +157,7 @@ class TestDeadlines:
 
         svc = _service(
             StubSession(evaluate=slow),
-            ServicePolicy(batch_window_s=0.01, default_deadline_s=0.05),
+            ServicePolicy(default_deadline_s=0.05),
         )
         try:
             status, body = ServiceClient(svc).evaluate("predator")
@@ -173,7 +176,7 @@ class TestBackpressure:
 
         svc = _service(
             StubSession(evaluate=blocking),
-            ServicePolicy(max_queue=1, batch_window_s=0.01),
+            ServicePolicy(max_queue=1),
         )
         try:
             client = ServiceClient(svc)
@@ -210,7 +213,7 @@ class TestBackpressure:
 
         svc = _service(
             StubSession(evaluate=blocking),
-            ServicePolicy(max_queue=1, batch_window_s=0.01),
+            ServicePolicy(max_queue=1),
         )
         try:
             client = ServiceClient(svc)
@@ -253,36 +256,37 @@ class TestWorkerCrash:
             svc.close()
 
     def test_worker_death_fails_only_its_request(self, monkeypatch, tmp_path):
-        """jobs=2, a two-run batch, one worker SIGKILLed: that request
-        alone gets 502 with its request ID and a flight-recorder dump;
-        its batch sibling and the next requests get 200."""
+        """jobs=2, a lone request whose task SIGKILLs its worker: that
+        request alone gets 502 with its request ID and a flight-recorder
+        dump; the next requests get 200 from the replaced worker."""
         monkeypatch.setattr(
             parallel, "_characterize_task", _characterize_kills_worker_on_fasta
         )
         dump_dir = str(tmp_path / "flightrec")
         svc = CharacterizationService(
             config=RunConfig(scale="test", jobs=2, cache=False),
-            policy=ServicePolicy(batch_window_s=0.2),
             flightrec_dir=dump_dir,
         )
         try:
             client = ServiceClient(svc)
-            results = _concurrent(
-                client, (("fasta", "req-doomed"), ("hmmsearch", "req-sibling"))
-            )
-            status, body = results["req-doomed"]
+
+            def characterize(workload, rid):
+                return client.request(
+                    {"kind": "characterize", "workload": workload},
+                    request_id=rid,
+                )
+
+            status, body = characterize("fasta", "req-doomed")
             assert status == 502
             assert body["error"]["code"] == "task_failed"
             assert "WorkerCrash" in body["error"]["message"]
             assert body["request_id"] == "req-doomed"
-            assert results["req-sibling"][0] == 200
-            # The replaced worker and its twin serve the next batch.
-            after = _concurrent(
-                client, (("blast", "req-next-1"), ("clustalw", "req-next-2"))
-            )
-            assert {status for status, _ in after.values()} == {200}
+            for workload, rid in (("hmmsearch", "req-next-1"),
+                                  ("clustalw", "req-next-2")):
+                assert characterize(workload, rid)[0] == 200
             _, health = client.healthz()
-            assert [w["alive"] for w in health["workers"]] == [True, True]
+            assert health["workers"]
+            assert all(w["alive"] for w in health["workers"])
             _, metrics_body = client.metrics()
             assert metrics_body["metrics"]["parallel.worker_deaths"] == 1
         finally:
@@ -301,9 +305,7 @@ class TestWorkerCrash:
         def broken(_workload, _platform, _scale):
             raise RuntimeError("engine exploded")
 
-        svc = _service(
-            StubSession(evaluate=broken), ServicePolicy(batch_window_s=0.01)
-        )
+        svc = _service(StubSession(evaluate=broken))
         try:
             client = ServiceClient(svc)
             status, body = client.evaluate("predator")
@@ -392,7 +394,7 @@ class TestHttpDoor:
             assert status == 400
             with urllib.request.urlopen(base + "/metrics", timeout=10) as r:
                 metrics_body = json_mod.loads(r.read())
-            assert "serve.batches" in metrics_body["metrics"]
+            assert "serve.admitted" in metrics_body["metrics"]
         finally:
             def _shutdown():
                 for task in asyncio.all_tasks(loop):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import time
 
 from repro import obs
 from repro.api import RunConfig
@@ -19,7 +20,7 @@ from repro.core import parallel
 from repro.obs import flightrec
 from repro.obs import tracing
 from repro.obs.context import REQUEST_ID_HEADER
-from repro.serve import CharacterizationService, ServiceClient, ServicePolicy
+from repro.serve import CharacterizationService, ServiceClient
 
 
 def _characterize_raises(task):
@@ -84,18 +85,22 @@ class TestRequestIdentity:
             svc.close()
 
     def test_coalesced_followers_name_their_leader(self):
-        release = threading.Event()
+        # The leader's evaluate waits on a gate, so its flight stays in
+        # flight until both followers have attached to it.
+        entered, release = threading.Event(), threading.Event()
         svc = _service(
-            config=RunConfig(scale="test", jobs=1, cache=False),
-            policy=ServicePolicy(batch_window_s=0.01),
+            config=RunConfig(
+                scale="test", eval_scale="test", jobs=1, cache=False
+            ),
         )
         real_evaluate = svc.session.evaluate
 
-        def slow_evaluate(*args, **kwargs):
-            release.wait(10)
+        def gated_evaluate(*args, **kwargs):
+            entered.set()
+            release.wait(30)
             return real_evaluate(*args, **kwargs)
 
-        svc.session.evaluate = slow_evaluate
+        svc.session.evaluate = gated_evaluate
         try:
             client = ServiceClient(svc)
             results = {}
@@ -106,31 +111,33 @@ class TestRequestIdentity:
                     request_id=rid,
                 )
 
-            threads = []
-            for rid in ("req-lead", "req-follow-1", "req-follow-2"):
-                thread = threading.Thread(target=issue, args=(rid,))
+            leader = threading.Thread(target=issue, args=("req-lead",))
+            leader.start()
+            assert entered.wait(10), "the leader never reached the engine"
+            (flight,) = svc.batcher._inflight.values()
+            followers = [
+                threading.Thread(target=issue, args=(rid,))
+                for rid in ("req-follow-1", "req-follow-2")
+            ]
+            for thread in followers:
                 thread.start()
-                threads.append(thread)
-                # Leader first, then followers attach to its flight.
-                import time as _time
-
-                _time.sleep(0.05)
+            deadline = time.monotonic() + 10.0
+            while len(flight.waiters) < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
             release.set()
-            for thread in threads:
-                thread.join(timeout=15)
+            for thread in [leader, *followers]:
+                thread.join(timeout=60)
+            assert not any(
+                t.is_alive() for t in [leader, *followers]
+            ), "a request never finished"
             statuses = {rid: status for rid, (status, _) in results.items()}
-            assert set(statuses.values()) == {200}
+            assert statuses == dict.fromkeys(
+                ("req-lead", "req-follow-1", "req-follow-2"), 200
+            )
             bodies = {rid: body for rid, (_, body) in results.items()}
-            leaders = {
-                body.get("coalesced_into")
-                for rid, body in bodies.items()
-                if body.get("coalesced_into")
-            }
-            # At least one request joined another's flight and recorded
-            # whose; the leader itself reports no coalescing.
-            assert leaders, "no request recorded coalescing"
-            for leader in leaders:
-                assert bodies[leader].get("coalesced_into") is None
+            assert bodies["req-lead"].get("coalesced_into") is None
+            for rid in ("req-follow-1", "req-follow-2"):
+                assert bodies[rid]["coalesced_into"] == "req-lead"
         finally:
             release.set()
             svc.close()
@@ -158,9 +165,9 @@ class TestAccessLog:
         first, second = records
         assert first["request_id"] == "req-logged"
         assert first["cached"] is False
-        for stage in ("queue", "batch", "exec", "total"):
-            assert stage in first["stages_ms"], stage
-            assert first["stages_ms"][stage] >= 0.0
+        assert set(first["stages_ms"]) == {"queue", "exec", "total"}
+        for stage, value in first["stages_ms"].items():
+            assert value >= 0.0, stage
         assert first["stages_ms"]["total"] >= first["stages_ms"]["exec"]
         assert second["cached"] is True
         assert "total" in second["stages_ms"]
@@ -193,71 +200,75 @@ class TestAccessLog:
             svc.close()
 
 
-def _batched_pair(client, workloads, request_ids):
-    """Issue one request per workload concurrently so they land in the
-    same batch window — a multi-task engine map engages the worker pool
-    (a single task short-circuits to the serial in-parent path)."""
-    results = {}
-
-    def issue(workload, rid):
-        results[rid] = client.request(
-            {"kind": "characterize", "workload": workload}, request_id=rid
-        )
-
-    threads = [
-        threading.Thread(target=issue, args=(workload, rid))
-        for workload, rid in zip(workloads, request_ids)
+def _tagged_worker_spans(records, request_id):
+    """The adopted spans from other processes tagged with ``request_id``."""
+    return [
+        r for r in records
+        if r.attrs.get("request_id") == request_id and r.pid != os.getpid()
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
-    return results
 
 
 class TestWorkerSpanAdoption:
+    """At ``jobs=2`` every engine task runs in a pool worker, a lone
+    request's included, and carries its request ID there."""
+
     def test_adopted_worker_spans_carry_request_id(self):
         tracing.enable()
-        svc = _service(
-            config=RunConfig(scale="test", jobs=2, cache=False),
-            policy=ServicePolicy(batch_window_s=0.1),
-        )
+        svc = _service(config=RunConfig(scale="test", jobs=2, cache=False))
         try:
-            client = ServiceClient(svc)
-            results = _batched_pair(
-                client,
-                ("hmmsearch", "fasta"),
-                ("req-adopted", "req-adopted-2"),
+            status, _ = ServiceClient(svc).request(
+                {"kind": "characterize", "workload": "hmmsearch"},
+                request_id="req-adopted",
             )
-            assert {status for status, _ in results.values()} == {200}
+            assert status == 200
             records = obs.get_tracer().drain()
         finally:
             svc.close()
             tracing.disable()
-        tagged = [
-            r for r in records if r.attrs.get("request_id") == "req-adopted"
-        ]
-        assert tagged, "no span carried the request ID"
-        foreign = [r for r in tagged if r.pid != os.getpid()]
-        assert foreign, (
+        assert _tagged_worker_spans(records, "req-adopted"), (
             "no worker-process span adopted across the pool carried "
             "the request ID"
         )
 
+    def test_sweep_worker_spans_carry_request_id(self):
+        # The first sweep starts the pool; the second runs on workers
+        # that were forked while another request was being served.
+        tracing.enable()
+        svc = _service(config=RunConfig(scale="test", jobs=2, cache=False))
+        try:
+            for rid in ("req-sweep-1", "req-sweep-2"):
+                status, body = ServiceClient(svc).request(
+                    {"kind": "sweep", "workload": "hmmsearch",
+                     "field": "l1_hit_int", "values": [1, 2]},
+                    request_id=rid,
+                )
+                assert status == 200
+                assert len(body["result"]["points"]) == 2
+            records = obs.get_tracer().drain()
+        finally:
+            svc.close()
+            tracing.disable()
+        for rid in ("req-sweep-1", "req-sweep-2"):
+            tasks = [
+                r for r in _tagged_worker_spans(records, rid)
+                if r.name == "parallel.task"
+            ]
+            assert len(tasks) == 2, f"{rid}: {len(tasks)} worker task spans"
+
     def test_worker_pool_in_healthz(self):
-        svc = _service(
-            config=RunConfig(scale="test", jobs=2, cache=False),
-            policy=ServicePolicy(batch_window_s=0.1),
-        )
+        svc = _service(config=RunConfig(scale="test", jobs=2, cache=False))
         try:
             client = ServiceClient(svc)
-            results = _batched_pair(
-                client, ("hmmsearch", "fasta"), ("req-pool-1", "req-pool-2")
-            )
-            assert {status for status, _ in results.values()} == {200}
+            for workload, rid in (("hmmsearch", "req-pool-1"),
+                                  ("fasta", "req-pool-2")):
+                status, _ = client.request(
+                    {"kind": "characterize", "workload": workload},
+                    request_id=rid,
+                )
+                assert status == 200
             _, health = client.healthz()
             workers = health["workers"]
-            assert len(workers) == 2
+            assert workers, "a lone characterize request ran outside the pool"
             for worker in workers:
                 assert worker["alive"] is True
                 assert worker["busy"] is False

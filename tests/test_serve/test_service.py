@@ -1,7 +1,7 @@
-"""Integration tests of the batching service over a real session.
+"""Integration tests of the service over a real session.
 
 The load-bearing assertion of the whole subsystem lives here: a
-payload served through the batching/single-flight machinery is
+payload served through the queue/single-flight machinery is
 **bit-identical** — same canonical bytes, same SHA-256 digest — to one
 built from a direct :meth:`repro.api.Session.characterize` call.
 """
@@ -15,11 +15,7 @@ import time
 import pytest
 
 from repro.api import RunConfig, Session
-from repro.serve import (
-    CharacterizationService,
-    ServiceClient,
-    ServicePolicy,
-)
+from repro.serve import CharacterizationService, ServiceClient
 from repro.serve.protocol import canonical_json, characterization_payload
 
 
@@ -61,17 +57,25 @@ class TestBitIdentity:
         _, warm = client.characterize("dnapenny")
         assert cold["result"]["digest"] == warm["result"]["digest"]
         assert warm["cached"] is True
+        assert warm["elapsed_ms"] > 0  # a memo hit is fast, not free
 
 
 class TestSingleFlight:
     def test_concurrent_identical_requests_share_one_run(self):
-        # A wide coalescing window holds the first flight in the queue
-        # while followers attach, making the single-flight attach
-        # deterministic instead of racing the engine.
+        # The leader's engine call waits on a gate, so its flight stays
+        # in flight until every follower has attached to it.
         svc = CharacterizationService(
-            config=RunConfig(scale="test", jobs=1, cache=False),
-            policy=ServicePolicy(batch_window_s=0.3),
+            config=RunConfig(scale="test", jobs=1, cache=False)
         )
+        entered, release = threading.Event(), threading.Event()
+        real_run = svc.session.run
+
+        def gated_run(*args, **kwargs):
+            entered.set()
+            release.wait(30)
+            return real_run(*args, **kwargs)
+
+        svc.session.run = gated_run
         try:
             client = ServiceClient(svc)
             before = client.metrics()[1]["metrics"]
@@ -82,15 +86,19 @@ class TestSingleFlight:
 
             first = threading.Thread(target=call)
             first.start()
-            deadline = time.monotonic() + 5.0
-            while not svc.batcher._inflight and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert svc.batcher._inflight, "first request never queued"
+            assert entered.wait(10), "the leader never reached the engine"
+            (flight,) = svc.batcher._inflight.values()
             followers = [threading.Thread(target=call) for _ in range(3)]
             for thread in followers:
                 thread.start()
+            deadline = time.monotonic() + 10.0
+            while len(flight.waiters) < 4 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert len(flight.waiters) == 4, "followers never attached"
+            release.set()
             for thread in [first, *followers]:
                 thread.join(timeout=60)
+                assert not thread.is_alive()
             assert len(results) == 4
             digests = {body["result"]["digest"] for status, body in results}
             assert all(status == 200 for status, _ in results)
@@ -100,10 +108,11 @@ class TestSingleFlight:
             def delta(name):
                 return after.get(name, 0) - before.get(name, 0)
 
-            assert delta("serve.singleflight_hits") >= 3
-            # one queue slot, one batch, one engine run for 4 requests
-            assert delta("serve.batches") == 1
+            assert delta("serve.singleflight_hits") == 3
+            # one queue slot, one engine run for 4 requests
+            assert delta("experiments.runs.interp") == 1
         finally:
+            release.set()
             svc.close()
 
 
@@ -119,9 +128,8 @@ class TestRoutesAndRegistry:
         client.characterize("hmmsearch")
         status, body = client.metrics()
         assert status == 200
-        names = set(body["metrics"])
-        assert {"serve.admitted", "serve.batches", "serve.latency_ms"} <= names
-        latency = body["metrics"]["serve.latency_ms"]
+        assert "serve.admitted" in body["metrics"]
+        latency = body["metrics"]['serve.stage_ms{stage="total"}']
         assert latency["count"] >= 1
         assert "p50" in latency and "p99" in latency
 
