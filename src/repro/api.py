@@ -136,6 +136,7 @@ class Session:
         self._runs: Dict[Tuple[str, str, int], CharacterizationResult] = {}
         self._fingerprints: Dict[Tuple[str, str, int], str] = {}
         self._traces: Dict[Tuple[str, str, int], object] = {}
+        self._evaluations: Dict[Tuple[str, str, str, int], EvaluationResult] = {}
         self._runner = parallel.ParallelRunner(jobs=self.jobs)
         self._cache = None
         if self.config.cache:
@@ -208,6 +209,27 @@ class Session:
         scale = self.scale if scale is None else scale
         seed = self.seed if seed is None else seed
         return self._runs.get((name, scale, seed))
+
+    def memoized_evaluation(
+        self,
+        workload: str,
+        platform: Optional[str] = None,
+        scale: Optional[str] = None,
+        seed: Optional[int] = None,
+    ) -> Optional[EvaluationResult]:
+        """The already-computed single-cell :meth:`evaluate` result, or
+        None — the request server's fast path for evaluate requests."""
+        return self._evaluations.get(
+            self._evaluation_key(workload, platform, scale, seed)
+        )
+
+    def _evaluation_key(self, workload, platform, scale, seed):
+        return (
+            workload,
+            platform or "alpha",
+            self.config.eval_scale if scale is None else scale,
+            self.seed if seed is None else seed,
+        )
 
     # -- characterization ----------------------------------------------------
     def run(
@@ -398,33 +420,40 @@ class Session:
         scale: Optional[str] = None,
         checkpoint: Optional[str] = None,
         strict: bool = False,
+        seed: Optional[int] = None,
     ):
         """Original-vs-transformed evaluation.
 
         With a ``workload``: one :class:`EvaluationResult` on one
-        ``platform`` (default ``"alpha"``), run in the calling process.
+        ``platform`` (default ``"alpha"``), run in the calling process
+        and memoized per (workload, platform, scale, seed).
 
         Without: the full Table 8 grid over ``platforms`` (default: all
         four Table 7 models) at ``eval_scale``, returning runtime rows
         with :class:`~repro.core.parallel.FailedCell` markers for cells
         that failed (or raising when ``strict=True``).
         ``checkpoint`` streams completed cells to a JSONL file and
-        resumes from it, running only the missing cells.
+        resumes from it, running only the missing cells.  ``seed``
+        (default: the session's) picks the dataset either way.
         """
         from repro.core import experiments as E
 
         scale = self.config.eval_scale if scale is None else scale
+        seed = self.seed if seed is None else seed
         if workload is not None:
             get_workload(workload)  # KeyError in the caller, not a worker
-            key = platform or "alpha"
-            _name, _key, evaluation = parallel._evaluate_task(
-                (workload, key, scale, self.seed, self.config.backend)
-            )
+            memo_key = self._evaluation_key(workload, platform, scale, seed)
+            evaluation = self._evaluations.get(memo_key)
+            if evaluation is None:
+                _name, _key, evaluation = parallel._evaluate_task(
+                    (workload, memo_key[1], scale, seed, self.config.backend)
+                )
+                self._evaluations[memo_key] = evaluation
             return evaluation
         keys = tuple(platforms) if platforms else DEFAULT_PLATFORMS
         return E.table8_runtimes(
             scale=scale,
-            seed=self.seed,
+            seed=seed,
             platform_keys=keys,
             runner=self._runner,
             checkpoint=checkpoint,

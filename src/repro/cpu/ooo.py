@@ -21,12 +21,19 @@ constraints that produce the paper's effect:
 The model deliberately omits features irrelevant to the studied effect
 (TLBs, instruction cache, load/store queue occupancy, replay traps);
 Section 5 of DESIGN.md discusses the resulting fidelity envelope.
+
+:meth:`OoOTimingModel.on_event` is the model's definition.  The compiled
+engine runs a lone exact ``OoOTimingModel`` through
+:meth:`OoOTimingModel.timing_sites` instead: one closure per static
+instruction, called at the instruction's event site with no
+``TraceEvent`` built.  The closures must leave the model in exactly the
+state ``on_event`` would (``tests/test_cpu/test_timed_path.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.branch.predictors import (
     BasePredictor,
@@ -36,8 +43,11 @@ from repro.branch.predictors import (
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.platforms import PlatformConfig
 from repro.exec.trace import TraceEvent
-from repro.isa.instructions import Opcode
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa.registers import Reg
+
+#: Events between prunes of the issue calendar and the store map.
+_PRUNE_EVERY = 1_000_000
 
 
 @dataclass
@@ -50,7 +60,6 @@ class TimingResult:
     branch_executions: int
     branch_mispredictions: int
     l1_load_miss_rate: float
-    spilled: bool = False
 
     @property
     def cpi(self) -> float:
@@ -96,7 +105,7 @@ class OoOTimingModel:
         self._fetch_cycle = 0
         self._fetch_slot = 0
         self._last_complete = 0
-        self._prune_at = 1_000_000
+        self._prune_at = _PRUNE_EVERY
 
     # -- public results -----------------------------------------------------------
     @property
@@ -213,14 +222,284 @@ class OoOTimingModel:
             self._fetch_cycle += 1
 
     def _prune(self) -> None:
-        """Bound the issue calendar and store map."""
-        self._prune_at = self._index + 1_000_000
+        """Bound the issue calendar and store map (in place: the timed
+        path's closures hold both dicts)."""
+        self._prune_at = self._index + _PRUNE_EVERY
         horizon = self._fetch_cycle - 4 * self.platform.window
-        self._issued_in_cycle = {
-            cycle: count
-            for cycle, count in self._issued_in_cycle.items()
-            if cycle >= horizon
-        }
-        self._store_ready = {
-            addr: t for addr, t in self._store_ready.items() if t >= horizon
-        }
+        issued = self._issued_in_cycle
+        kept = {cycle: n for cycle, n in issued.items() if cycle >= horizon}
+        issued.clear()
+        issued.update(kept)
+        stores = self._store_ready
+        kept = {addr: t for addr, t in stores.items() if t >= horizon}
+        stores.clear()
+        stores.update(kept)
+
+    # -- the timed path ------------------------------------------------------------
+    def timing_sites(
+        self, instrs: Iterable[Instruction]
+    ) -> Tuple[Dict[int, Callable], Callable[[], None]]:
+        """Per-instruction timing closures for the compiled engine.
+
+        Returns ``(sites, flush)``.  ``sites`` maps each sid to the
+        closure its event site calls: ``site(addr, value)`` for a load,
+        ``site(addr)`` for a store (None when a predicated store is
+        skipped), ``site(taken)`` for a branch and ``site()`` for every
+        other instruction.  Each call advances the model by one event
+        exactly as :meth:`on_event` would.  ``flush()`` writes the
+        closures' state back to this model; call it before the model is
+        read or driven through :meth:`on_event` again.
+
+        The closures come from four templates (load, store, branch,
+        other).  Each binds its static row as default arguments: dense
+        register-ready slots (slot 0 reads as never written, slot 1
+        absorbs the writes of instructions with no destination), the
+        folded latency, and the platform's widths, window and penalties.
+        The fetch cycle and slot, the instruction index and the last
+        completion are cells shared by every closure; the ring, the
+        issue calendar and the store map are this model's own objects,
+        updated in place.  Hierarchy and predictor calls, and the LDBP
+        feeds, come in :meth:`on_event`'s order.
+        """
+        model = self
+        platform = self.platform
+        hierarchy_access = self.hierarchy.access
+        predictor = self.predictor
+        ldbp = self._ldbp
+        reg_ready = self._reg_ready
+        instrs = list(instrs)
+
+        slot_of: Dict[Reg, int] = {}
+        for instr in instrs:
+            regs = instr.reads()
+            if instr.dest is not None:
+                regs += (instr.dest,)
+            for reg in regs:
+                if reg not in slot_of:
+                    slot_of[reg] = len(slot_of) + 2
+        ready_at = [0, 0] + [reg_ready.get(reg, 0) for reg in slot_of]
+
+        index = self._index
+        fetch = self._fetch_cycle
+        slot = self._fetch_slot
+        last = self._last_complete
+        prune_at = self._prune_at
+
+        def prune() -> None:
+            nonlocal prune_at
+            model._index = index
+            model._fetch_cycle = fetch
+            model._prune()
+            prune_at = model._prune_at
+
+        def flush() -> None:
+            model._index = index
+            model._fetch_cycle = fetch
+            model._fetch_slot = slot
+            model._last_complete = last
+            model._prune_at = prune_at
+            for reg, at in slot_of.items():
+                t = ready_at[at]
+                if t or reg in reg_ready:
+                    reg_ready[reg] = t
+
+        # Every template starts with the same front end and ends with
+        # the same issue, fetch-advance and retirement as on_event.
+        RR = ready_at
+        RING = self._ring
+        W = platform.window
+        IS = self._issued_in_cycle
+        ISg = IS.get
+        IW = platform.issue_width
+        FW = platform.fetch_width
+        sites: Dict[int, Callable] = {}
+        for instr in instrs:
+            reads = [slot_of[reg] for reg in instr.reads()] + [0, 0, 0]
+            S0, S1, S2 = reads[:3]
+            D = slot_of[instr.dest] if instr.dest is not None else 1
+            opcode = instr.opcode
+
+            if instr.is_load:
+                L1 = (
+                    platform.l1_hit_fp if opcode is Opcode.FLOAD
+                    else platform.l1_hit_int
+                )
+                L2 = platform.l1_hit_int + platform.l2_latency
+                L3 = L2 + platform.memory_latency
+
+                def site(addr, value, S0=S0, D=D, L1=L1, L2=L2, L3=L3,
+                         FEED=predictor.on_load if ldbp else None,
+                         INSTR=instr, SRg=self._store_ready.get,
+                         SF=platform.store_forward_penalty,
+                         HA=hierarchy_access, RR=RR, RING=RING, W=W,
+                         IS=IS, ISg=ISg, IW=IW, FW=FW):
+                    nonlocal index, fetch, slot, last
+                    i = index
+                    index = i + 1
+                    k = i % W
+                    ready = RING[k]
+                    if ready > fetch:
+                        fetch = ready
+                        slot = 0
+                    ready = fetch + 1
+                    t = RR[S0]
+                    if t > ready:
+                        ready = t
+                    if FEED is not None:
+                        FEED(INSTR, value, addr)
+                    t = SRg(addr)
+                    if t is not None:
+                        t += SF
+                        if t > ready:
+                            ready = t
+                    level = HA(addr, False, True)
+                    n = ISg(ready, 0)
+                    while n >= IW:
+                        ready += 1
+                        n = ISg(ready, 0)
+                    IS[ready] = n + 1
+                    t = ready + (L1 if level == 1 else L2 if level == 2 else L3)
+                    RR[D] = t
+                    slot += 1
+                    if slot >= FW:
+                        slot = 0
+                        fetch += 1
+                    RING[k] = t
+                    if t > last:
+                        last = t
+                    if i >= prune_at:
+                        prune()
+
+            elif instr.is_store:
+
+                def site(addr, S0=S0, S1=S1, S2=S2, SR=self._store_ready,
+                         HA=hierarchy_access, RR=RR, RING=RING, W=W,
+                         IS=IS, ISg=ISg, IW=IW, FW=FW):
+                    nonlocal index, fetch, slot, last
+                    i = index
+                    index = i + 1
+                    k = i % W
+                    ready = RING[k]
+                    if ready > fetch:
+                        fetch = ready
+                        slot = 0
+                    ready = fetch + 1
+                    t = RR[S0]
+                    if t > ready:
+                        ready = t
+                    t = RR[S1]
+                    if t > ready:
+                        ready = t
+                    t = RR[S2]
+                    if t > ready:
+                        ready = t
+                    if addr is not None:
+                        HA(addr, True, False)
+                    n = ISg(ready, 0)
+                    while n >= IW:
+                        ready += 1
+                        n = ISg(ready, 0)
+                    IS[ready] = n + 1
+                    t = ready + 1  # store buffer: retire without stalling
+                    if addr is not None:
+                        SR[addr] = t
+                    slot += 1
+                    if slot >= FW:
+                        slot = 0
+                        fetch += 1
+                    RING[k] = t
+                    if t > last:
+                        last = t
+                    if i >= prune_at:
+                        prune()
+
+            elif opcode is Opcode.BR:
+
+                def site(taken, S0=S0, L=platform.op_latency(opcode),
+                         ACCESS=(
+                             predictor.access_branch if ldbp
+                             else predictor.access
+                         ),
+                         KEY=instr if ldbp else instr.sid,
+                         MP=platform.mispredict_penalty, RR=RR, RING=RING,
+                         W=W, IS=IS, ISg=ISg, IW=IW, FW=FW):
+                    nonlocal index, fetch, slot, last
+                    i = index
+                    index = i + 1
+                    k = i % W
+                    ready = RING[k]
+                    if ready > fetch:
+                        fetch = ready
+                        slot = 0
+                    ready = fetch + 1
+                    t = RR[S0]
+                    if t > ready:
+                        ready = t
+                    n = ISg(ready, 0)
+                    while n >= IW:
+                        ready += 1
+                        n = ISg(ready, 0)
+                    IS[ready] = n + 1
+                    t = ready + L
+                    if not ACCESS(KEY, taken):
+                        # Squash: fetch resumes after resolution plus refill.
+                        ready = t + MP
+                        if ready > fetch:
+                            fetch = ready
+                            slot = 0
+                    slot += 1
+                    if slot >= FW:
+                        slot = 0
+                        fetch += 1
+                    RING[k] = t
+                    if t > last:
+                        last = t
+                    if i >= prune_at:
+                        prune()
+
+            else:
+
+                def site(S0=S0, S1=S1, S2=S2, D=D,
+                         L=platform.op_latency(opcode),
+                         STEP=predictor.on_step if ldbp else None,
+                         INSTR=instr, RR=RR, RING=RING, W=W, IS=IS,
+                         ISg=ISg, IW=IW, FW=FW):
+                    nonlocal index, fetch, slot, last
+                    i = index
+                    index = i + 1
+                    k = i % W
+                    ready = RING[k]
+                    if ready > fetch:
+                        fetch = ready
+                        slot = 0
+                    ready = fetch + 1
+                    t = RR[S0]
+                    if t > ready:
+                        ready = t
+                    t = RR[S1]
+                    if t > ready:
+                        ready = t
+                    t = RR[S2]
+                    if t > ready:
+                        ready = t
+                    if STEP is not None:
+                        STEP(INSTR)
+                    n = ISg(ready, 0)
+                    while n >= IW:
+                        ready += 1
+                        n = ISg(ready, 0)
+                    IS[ready] = n + 1
+                    t = ready + L
+                    RR[D] = t
+                    slot += 1
+                    if slot >= FW:
+                        slot = 0
+                        fetch += 1
+                    RING[k] = t
+                    if t > last:
+                        last = t
+                    if i >= prune_at:
+                        prune()
+
+            sites[instr.sid] = site
+        return sites, flush

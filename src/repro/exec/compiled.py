@@ -7,17 +7,26 @@ This backend removes both: for each :class:`~repro.isa.program.Program`
 it generates specialized Python source per basic block — registers
 renamed to slots of one flat dense register file (a precomputed
 ``Reg -> int`` index map), immediates and array bases constant-folded,
-sink dispatch inlined only for the event kinds actually observed —
+event sites emitted only for the event kinds actually observed —
 ``compile()``s it once, and drives the block functions from a small
 trampoline loop.
 
-Four dispatch modes, one generated variant each:
+Five dispatch modes over four generated variants:
 
 * **bare** — no consumers: no event is ever constructed;
 * **record** — bare plus the per-site appends :mod:`repro.trace.record`
   turns into a trace artifact;
-* **masked** — ``TraceEvent`` construction and per-kind sink calls
-  inlined; every tool runs through its own ``on_event``;
+* **masked** — each event site of an observed kind calls its
+  instruction's ``I<sid>`` publisher, bound at run time:
+  ``I<sid>()``, ``I<sid>(addr)`` (a store), ``I<sid>(addr, v)`` (a
+  load) or ``I<sid>(taken)`` (a branch).  For generic consumers the
+  publisher builds the ``TraceEvent`` and calls the kind's sinks, so
+  every tool runs through its own ``on_event``;
+* **timed** — the masked code for a lone exact ``OoOTimingModel``,
+  with the model's own timing closures
+  (:meth:`~repro.cpu.ooo.OoOTimingModel.timing_sites`) bound as the
+  publishers; their state is flushed back to the model at the budget
+  hand-off, on an error and at the end of the run;
 * **fused** — the standard four tools in their stock configuration
   (:func:`_stock_tools`): their state transitions are inlined into the
   block code, with no event objects and no tool calls.  Any other
@@ -68,7 +77,7 @@ from __future__ import annotations
 import itertools
 import linecache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, finalize
 
 from repro import obs
 from repro.exec.interpreter import (
@@ -239,7 +248,7 @@ class CompiledProgram:
 
     __slots__ = (
         "filename", "source", "factory", "block_meta", "nregs", "reg_index",
-        "line_map", "instrs",
+        "line_map", "instrs", "event_sids", "__weakref__",
     )
 
     def locate(self, exc: BaseException) -> Tuple[int, Optional[object]]:
@@ -362,8 +371,8 @@ class _BlockCodegen:
         #: recorder pays a single RCA call per block, and each exit
         #: publishes exactly the prefix its path executed.
         self.rec_sites: List[str] = []
-        #: sids whose ``I<sid>`` instruction constant this block's
-        #: masked-mode events use; only these become block defaults.
+        #: sids whose ``I<sid>`` publisher this block's masked-mode
+        #: event sites call; only these become block defaults.
         self.event_sids: List[int] = []
 
     # -- small helpers -----------------------------------------------------
@@ -398,7 +407,7 @@ class _BlockCodegen:
             self.line(indent, stmt, j, instr)
 
     def ev_instr(self, instr) -> str:
-        """The ``I<sid>`` constant a masked-mode TraceEvent carries."""
+        """The ``I<sid>`` publisher a masked-mode event site calls."""
         if instr.sid not in self.event_sids:
             self.event_sids.append(instr.sid)
         return f"I{instr.sid}"
@@ -716,10 +725,8 @@ class _BlockCodegen:
             self.batch.load(instr.opcode is _O.FLOAD)
         elif gen.has_sinks("load"):
             self.line(indent,
-                      f"ev = TE({self.ev_instr(instr)}, "
-                      f"{self.addr_expr(base)}, None, v)",
+                      f"{self.ev_instr(instr)}({self.addr_expr(base)}, v)",
                       j, instr)
-            self.line(indent, "for s_ in S_load: s_(ev)", j, instr)
 
     def dispatch_store(self, indent: int, instr, j: int,
                        base: Optional[int]) -> None:
@@ -732,9 +739,7 @@ class _BlockCodegen:
             self.batch.store(instr.opcode is _O.FSTORE)
         elif gen.has_sinks("store"):
             addr = "None" if base is None else self.addr_expr(base)
-            self.line(indent, f"ev = TE({self.ev_instr(instr)}, {addr}, None)",
-                      j, instr)
-            self.line(indent, "for s_ in S_store: s_(ev)", j, instr)
+            self.line(indent, f"{self.ev_instr(instr)}({addr})", j, instr)
 
     def dispatch_step(self, indent: int, instr, j: int,
                       kind: str = "other") -> None:
@@ -744,9 +749,7 @@ class _BlockCodegen:
             self.seq_step_taint(indent, instr, j)
             self.batch.step(instr.is_fp)
         elif gen.has_sinks(kind):
-            self.line(indent, f"ev = TE({self.ev_instr(instr)}, None, None)",
-                      j, instr)
-            self.line(indent, f"for s_ in S_{kind}: s_(ev)", j, instr)
+            self.line(indent, f"{self.ev_instr(instr)}()", j, instr)
 
     # -- per-instruction emission ------------------------------------------
     def emit_instr(self, instr, j: int, last: bool, irregular: bool) -> bool:
@@ -775,9 +778,7 @@ class _BlockCodegen:
                 self.line(ind, "if RB: del RB[:]", j, instr)
                 self.batch.step(False)
             elif gen.has_sinks("other"):
-                self.line(ind, f"ev = TE({self.ev_instr(instr)}, None, None)",
-                          j, instr)
-                self.line(ind, "for s_ in S_other: s_(ev)", j, instr)
+                self.line(ind, f"{self.ev_instr(instr)}()", j, instr)
             self.ret(ind, gen.block_pos[instr.target], j, instr, irregular)
             return True
         if op is _O.HALT:
@@ -785,9 +786,7 @@ class _BlockCodegen:
                 self.seq_consume(ind, instr, j)
                 self.batch.step(False, "halt")
             elif gen.has_sinks("halt"):
-                self.line(ind, f"ev = TE({self.ev_instr(instr)}, None, None)",
-                          j, instr)
-                self.line(ind, "for s_ in S_halt: s_(ev)", j, instr)
+                self.line(ind, f"{self.ev_instr(instr)}()", j, instr)
             self.ret(ind, -1, j, instr, irregular)
             return True
         self.emit_alu(ind, instr, j)
@@ -873,8 +872,7 @@ class _BlockCodegen:
             self.line(ind, "else:", j, instr)
             self.line(ind + 1, "a = None", j, instr)
             self.defined = inner_defined
-            self.line(ind, f"ev = TE({self.ev_instr(instr)}, a, None)", j, instr)
-            self.line(ind, "for s_ in S_store: s_(ev)", j, instr)
+            self.line(ind, f"{self.ev_instr(instr)}(a)", j, instr)
         else:
             self.defined = inner_defined
             if gen.record:
@@ -922,14 +920,9 @@ class _BlockCodegen:
                 cond_test = f"{self.slot(cond)} != 0"
             if has_branch_sinks:
                 self.line(ind, f"if {cond_test}:", j, instr)
-                self.line(ind + 1,
-                          f"ev = TE({self.ev_instr(instr)}, None, True)",
-                          j, instr)
-                self.line(ind + 1, "for s_ in S_branch: s_(ev)", j, instr)
+                self.line(ind + 1, f"{self.ev_instr(instr)}(True)", j, instr)
                 self.ret(ind + 1, taken_target, j, instr, irregular)
-                self.line(ind, f"ev = TE({self.ev_instr(instr)}, None, False)",
-                          j, instr)
-                self.line(ind, "for s_ in S_branch: s_(ev)", j, instr)
+                self.line(ind, f"{self.ev_instr(instr)}(False)", j, instr)
                 if last:
                     self.ret(ind, fall_target, j, instr, irregular)
             else:
@@ -1050,14 +1043,13 @@ class _Generator:
         self.telemetry = self.fused and mode[1]
         self.l1_geometry = mode[2] if self.fused else None
         self.sink_kinds = mode[1] if mode[0] == "masked" else frozenset()
-        #: sids whose TraceEvent construction may need an I<sid>
-        #: constant (the factory binds one per reachable instruction;
+        #: sids with an event site: reachable instructions of an
+        #: observed kind (the factory binds each one's I<sid> publisher;
         #: each block function takes only those it uses).
-        self.event_sids: List[int] = []
-        if self.sink_kinds:
-            self.event_sids = sorted(
-                ins.sid for b in program.blocks for ins in _reachable_prefix(b)
-            )
+        self.event_sids: List[int] = sorted(
+            ins.sid for b in program.blocks for ins in _reachable_prefix(b)
+            if ins.kind in self.sink_kinds
+        )
         self.em = _Emitter()
         self.block_pos = {b.name: i for i, b in enumerate(program.blocks)}
         self.nblocks = len(program.blocks)
@@ -1103,9 +1095,6 @@ class _Generator:
             ]
             if self.telemetry:
                 names += [f"FC_{kind}" for kind in EVENT_KINDS]
-        elif self.sink_kinds:
-            names += ["TE"]
-            names += [f"S_{k}" for k in EVENT_KINDS if k in self.sink_kinds]
         return "".join(f", {name}={name}" for name in names)
 
     def preamble(self) -> None:
@@ -1201,13 +1190,9 @@ class _Generator:
                 for kind in EVENT_KINDS:
                     em.emit(1, f'FC_{kind} = ns["fc"]["{kind}"]')
         elif self.sink_kinds:
-            em.emit(1, 'TE = ns["TE"]')
             em.emit(1, 'I = ns["I"]')
             for sid in self.event_sids:
                 em.emit(1, f"I{sid} = I[{sid}]")
-            for kind in EVENT_KINDS:
-                if kind in self.sink_kinds:
-                    em.emit(1, f'S_{kind} = ns["S_{kind}"]')
 
     def epilogue(self, nblocks: int) -> None:
         em = self.em
@@ -1281,6 +1266,9 @@ def _generate(program: Program, bases: Dict[str, int],
     )
 
     cp = CompiledProgram()
+    # linecache never evicts an entry without an mtime: drop it with
+    # the program, or every generated variant would stay for good.
+    finalize(cp, linecache.cache.pop, filename, None)
     cp.filename = filename
     cp.source = source
     cp.factory = namespace["_factory"]
@@ -1289,6 +1277,7 @@ def _generate(program: Program, bases: Dict[str, int],
     cp.reg_index = reg_index
     cp.line_map = em.line_map
     cp.instrs = {ins.sid: ins for block in blocks for ins in block.instructions}
+    cp.event_sids = tuple(gen.event_sids)
     return cp
 
 
@@ -1386,6 +1375,76 @@ def _stock_tools(consumers: List[object]) -> Optional[_StockTools]:
     return tools if lockstep else None
 
 
+def _lone_timing_model(consumers: List[object]) -> bool:
+    """Whether the run's one consumer is an exact ``OoOTimingModel``:
+    its ``timing_sites`` closures then replace event dispatch.  A
+    subclass (``InOrderTimingModel``, ``ValuePredictingOoO``) or any
+    other mix of consumers runs masked through ``on_event``."""
+    if len(consumers) != 1:
+        return False
+    from repro.cpu.ooo import OoOTimingModel
+
+    return type(consumers[0]) is OoOTimingModel
+
+
+def _publishers(cp: CompiledProgram,
+                sinks_by_kind: Dict[str, List]) -> Dict[int, object]:
+    """The masked mode's ``I<sid>`` publishers for generic consumers:
+    each builds the ``TraceEvent`` its site describes and calls the
+    kind's sinks, in order."""
+    from repro.exec.trace import TraceEvent as TE
+
+    publishers: Dict[int, object] = {}
+    for sid in cp.event_sids:
+        instr = cp.instrs[sid]
+        kind = instr.kind
+        sinks = sinks_by_kind[kind]
+        if kind == "load":
+            def publish(addr, value, instr=instr, sinks=sinks):
+                event = TE(instr, addr, None, value)
+                for sink in sinks:
+                    sink(event)
+        elif kind == "store":
+            def publish(addr, instr=instr, sinks=sinks):
+                event = TE(instr, addr, None)
+                for sink in sinks:
+                    sink(event)
+        elif kind == "branch":
+            def publish(taken, instr=instr, sinks=sinks):
+                event = TE(instr, None, taken)
+                for sink in sinks:
+                    sink(event)
+        else:
+            def publish(instr=instr, sinks=sinks):
+                event = TE(instr, None, None)
+                for sink in sinks:
+                    sink(event)
+        publishers[sid] = publish
+    return publishers
+
+
+def _timed_publishers(model, cp: CompiledProgram, fanouts):
+    """The timed mode's ``I<sid>`` publishers: the model's own timing
+    closures, plus the flush that writes their state back to it.  Under
+    telemetry each closure also counts its event on the kind's fanout,
+    as a masked run's publication would."""
+    sites, flush = model.timing_sites(
+        cp.instrs[sid] for sid in cp.event_sids
+    )
+    if fanouts:
+        def counted(site, fanout):
+            def publish(*args):
+                fanout.published += 1
+                site(*args)
+            return publish
+
+        sites = {
+            sid: counted(site, fanouts[cp.instrs[sid].kind])
+            for sid, site in sites.items()
+        }
+    return sites, flush
+
+
 class _ExecContext:
     """Everything :meth:`CompiledInterpreter._drive` needs for one run.
 
@@ -1398,6 +1457,7 @@ class _ExecContext:
         "cp",
         "block_fns",
         "sync",
+        "flush",
         "R",
         "rec",
         "fused_mode",
@@ -1442,7 +1502,6 @@ class CompiledInterpreter(Interpreter):
         itself).
         """
         from repro.atom.sequences import _PendingLoad
-        from repro.exec.trace import TraceEvent
 
         program = self.program
         if not any(block.instructions for block in program.blocks):
@@ -1462,7 +1521,9 @@ class CompiledInterpreter(Interpreter):
                 (hierarchy._l1_block_size, hierarchy._l1_num_sets),
             )
         elif any(sinks_by_kind.values()):
-            dispatch_mode = "masked"
+            dispatch_mode = (
+                "timed" if _lone_timing_model(consumer_list) else "masked"
+            )
             mode = (
                 "masked",
                 frozenset(k for k, s in sinks_by_kind.items() if s),
@@ -1508,11 +1569,11 @@ class CompiledInterpreter(Interpreter):
             # The counting fanouts the masked switch tail would use:
             # generated code bumps their published counts in batches.
             ns["fc"] = fanouts
-        elif mode[0] == "masked":
-            ns["TE"] = TraceEvent
-            ns["I"] = cp.instrs
-            for kind in mode[1]:
-                ns[f"S_{kind}"] = sinks_by_kind[kind]
+        flush = None
+        if dispatch_mode == "timed":
+            ns["I"], flush = _timed_publishers(consumer_list[0], cp, fanouts)
+        elif dispatch_mode == "masked":
+            ns["I"] = _publishers(cp, sinks_by_kind)
 
         block_fns, sync = cp.factory(ns)
 
@@ -1520,6 +1581,7 @@ class CompiledInterpreter(Interpreter):
         ctx.cp = cp
         ctx.block_fns = block_fns
         ctx.sync = sync
+        ctx.flush = flush
         ctx.R = R
         ctx.rec = rec
         ctx.fused_mode = stock is not None
@@ -1593,6 +1655,8 @@ class CompiledInterpreter(Interpreter):
                 raise
         finally:
             self._writeback(cp, R)
+            if ctx.flush is not None:
+                ctx.flush()
         if fused_mode:
             sync(count)
         if bi >= 0:

@@ -4,9 +4,10 @@ The batcher is the only component that talks to the engine, and it
 talks to it through exactly one door: the :class:`repro.api.Session`
 facade.  Two mechanisms keep repeat requests off the engine:
 
-* **memo fast path** — a characterize request whose run the session
-  has already materialized is answered synchronously in the submitting
-  thread, never touching the queue (``serve.fast_path`` counter);
+* **memo fast path** — a characterize or evaluate request whose result
+  the session has already materialized is answered synchronously in
+  the submitting thread, never touching the queue
+  (``serve.fast_path`` counter);
 * **single-flight** — concurrent requests for the same run (keyed by
   the run-cache ``workload_fingerprint``, the one source of run
   identity) share one in-flight computation: followers attach a waiter
@@ -23,8 +24,8 @@ its own request.
 
 Deadlines are checked when a request resolves: a request whose
 deadline has passed gets a ``deadline_exceeded`` error even when the
-run itself succeeded — a characterize result still lands in the
-session memo and run cache, so the client's retry is a fast-path hit.
+run itself succeeded — a characterize or evaluate result still lands
+in the session memo, so the client's retry is a fast-path hit.
 A request that expires while queued is never run.
 
 A run that fails (its task raised, or its worker died) resolves its
@@ -175,38 +176,33 @@ class Batcher:
         key = self._key(request)
         future: Future = Future()
 
-        if request.kind == "characterize":
-            memoized = self._session.memoized(
-                request.workload, request.scale, request.seed
-            )
-            if memoized is not None:
-                started = time.monotonic()
-                obs.metrics().counter("serve.fast_path").inc()
-                payload = protocol.characterization_payload(
-                    request.workload, memoized
-                )
+        started = time.monotonic()
+        payload = self._memo_payload(request)
+        if payload is not None:
+            obs.metrics().counter("serve.fast_path").inc()
+            if request.kind == "characterize":
                 self._record_run(key, request, payload)
-                elapsed_ms = (time.monotonic() - started) * 1e3
-                body = protocol.ok_body(
-                    key,
-                    request.kind,
-                    payload,
-                    cached=True,
-                    elapsed_ms=elapsed_ms,
-                    request_id=ctx.request_id,
-                )
-                # A memo hit never queues or executes — only ``total``
-                # is a real stage (and observing two zeros per hit
-                # would dominate the fast path's cost).
-                body["_obs"] = {
-                    "workload": request.workload,
-                    "kind": request.kind,
-                    "id": key,
-                    "cached": True,
-                    "stages_ms": {"total": round(elapsed_ms, 3)},
-                }
-                future.set_result((200, body))
-                return future
+            elapsed_ms = (time.monotonic() - started) * 1e3
+            body = protocol.ok_body(
+                key,
+                request.kind,
+                payload,
+                cached=True,
+                elapsed_ms=elapsed_ms,
+                request_id=ctx.request_id,
+            )
+            # A memo hit never queues or executes — only ``total``
+            # is a real stage (and observing two zeros per hit
+            # would dominate the fast path's cost).
+            body["_obs"] = {
+                "workload": request.workload,
+                "kind": request.kind,
+                "id": key,
+                "cached": True,
+                "stages_ms": {"total": round(elapsed_ms, 3)},
+            }
+            future.set_result((200, body))
+            return future
 
         with self._cond:
             flight = self._inflight.get(key)
@@ -227,6 +223,24 @@ class Batcher:
             self._queue.append(flight)
             self._cond.notify()
         return future
+
+    def _memo_payload(
+        self, request: protocol.ServiceRequest
+    ) -> Optional[Dict[str, Any]]:
+        """The payload of a characterize or evaluate request the session
+        has already materialized, or None (memo only, no engine work)."""
+        session = self._session
+        if request.kind == "characterize":
+            run = session.memoized(request.workload, request.scale, request.seed)
+            if run is not None:
+                return protocol.characterization_payload(request.workload, run)
+        elif request.kind == "evaluate":
+            evaluation = session.memoized_evaluation(
+                request.workload, request.platform, request.scale, request.seed
+            )
+            if evaluation is not None:
+                return protocol.evaluation_payload(evaluation)
+        return None
 
     def _key(self, request: protocol.ServiceRequest) -> str:
         """Run identity.  Characterize requests use the run-cache
@@ -361,7 +375,10 @@ class Batcher:
             return protocol.analyze_payload(analysis)
         if request.kind == "evaluate":
             evaluation = session.evaluate(
-                request.workload, platform=request.platform, scale=request.scale
+                request.workload,
+                platform=request.platform,
+                scale=request.scale,
+                seed=request.seed,
             )
             return protocol.evaluation_payload(evaluation)
         extra = {} if request.scale is None else {"scale": request.scale}

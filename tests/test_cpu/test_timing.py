@@ -6,13 +6,16 @@ misprediction cost, width/window limits, in-order vs out-of-order.
 """
 
 import dataclasses
+import math
 
 import pytest
+from timing_matrix import CELLS
 
 from repro.cpu import (
     ALPHA_21264,
     ITANIUM_2,
     PENTIUM_4,
+    PLATFORMS,
     POWERPC_G5,
     InOrderTimingModel,
     OoOTimingModel,
@@ -67,11 +70,18 @@ def chain_bindings():
     return {"nxt": [(i + 1) % 16 for i in range(16)], "out": [0]}
 
 
-def test_cycles_at_least_width_bound():
-    result = cycles_of(
-        INDEPENDENT_LOADS, {"a": [1] * 16, "out": [0]}, lambda: OoOTimingModel(ALPHA_21264)
-    )
-    assert result.cycles >= result.instructions / ALPHA_21264.issue_width - 1
+def test_cycles_at_least_width_bound(timing_matrix):
+    """Two invariants of every result of the equality matrix, on the
+    timed path and on ``on_event``: no run beats the issue width, and
+    no branch mispredicts more often than it executes."""
+    for cell in CELLS:
+        width = make_timing_model(PLATFORMS[cell[1]]).platform.issue_width
+        for path, state in timing_matrix.cell(cell).items():
+            result = state["result"]
+            where = (cell, path)
+            assert result.instructions > 0, where
+            assert result.cycles >= math.ceil(result.instructions / width), where
+            assert result.branch_mispredictions <= result.branch_executions, where
 
 
 def test_pointer_chase_pays_serial_load_latency():

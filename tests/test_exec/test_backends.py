@@ -211,6 +211,29 @@ def test_masked_blocks_bind_only_their_own_instructions():
     assert_all_equal(streams)
 
 
+def test_generated_source_leaves_linecache_with_its_program():
+    """Each generated variant registers its source in ``linecache`` so
+    tracebacks render, and ``linecache`` never evicts an entry without
+    an mtime: the entry must go when its compiled program does, or a
+    long-lived server answering compiler sweeps keeps every variant."""
+    import gc
+    import linecache
+
+    program = compile_source(
+        "int out[]; void kernel() { out[0] = 7; }", "t", O0
+    )
+    filenames = [
+        make_interpreter(program, {"out": [0]}, backend="compiled")
+        ._prepare(consumers).cp.filename
+        for consumers in ([], [TraceCollector()], list(standard_tools()))
+    ]
+    assert len(set(filenames)) == 3
+    assert all(name in linecache.cache for name in filenames)
+    del program
+    gc.collect()
+    assert not [name for name in filenames if name in linecache.cache]
+
+
 @pytest.mark.parametrize("name", ["hmmsearch", "fasta"])
 def test_serial_bare_bit_identical(name):
     """No consumers (the bare loop): final machine state matches."""

@@ -58,10 +58,13 @@ class StubSession:
     def memoized(self, *_args, **_kwargs):
         return None
 
+    def memoized_evaluation(self, *_args, **_kwargs):
+        return None
+
     def fingerprint(self, name, scale, seed):
         return f"stub-{name}-{scale}-{seed}"
 
-    def evaluate(self, workload, platform=None, scale=None):
+    def evaluate(self, workload, platform=None, scale=None, seed=None):
         return self._evaluate(workload, platform, scale)
 
     def close(self):

@@ -16,7 +16,11 @@ import pytest
 
 from repro.api import RunConfig, Session
 from repro.serve import CharacterizationService, ServiceClient
-from repro.serve.protocol import canonical_json, characterization_payload
+from repro.serve.protocol import (
+    canonical_json,
+    characterization_payload,
+    evaluation_payload,
+)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +118,51 @@ class TestSingleFlight:
         finally:
             release.set()
             svc.close()
+
+
+class TestEvaluateMemo:
+    def test_repeat_evaluate_is_a_memo_hit(self, monkeypatch):
+        """A repeated evaluate request (a retry after a missed deadline)
+        is answered on the memo fast path: cached, byte-identical, and
+        with no second timing run."""
+        from repro.core import pipeline
+
+        timed = []
+        real_run_timed = pipeline.run_timed
+
+        def counting_run_timed(*args, **kwargs):
+            timed.append(args[:3])
+            return real_run_timed(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_timed", counting_run_timed)
+        svc = CharacterizationService(
+            config=RunConfig(scale="test", eval_scale="test", jobs=1, cache=False)
+        )
+        try:
+            client = ServiceClient(svc)
+            first = client.evaluate("predator", platform="ldbp")
+            second = client.evaluate("predator", platform="ldbp")
+        finally:
+            svc.close()
+        assert first[0] == second[0] == 200
+        assert (first[1]["cached"], second[1]["cached"]) == (False, True)
+        assert canonical_json(second[1]["result"]) == canonical_json(
+            first[1]["result"]
+        )
+        assert len(timed) == 2  # the original and transformed variants, once
+
+    def test_evaluate_request_seed_reaches_the_session(self, client):
+        """The seed in an evaluate request picks the dataset, as the
+        request key already assumed."""
+        with Session(RunConfig(scale="test", cache=False)) as direct:
+            expected = evaluation_payload(
+                direct.evaluate("predator", platform="alpha", scale="test", seed=5)
+            )
+        status, body = client.evaluate(
+            "predator", platform="alpha", scale="test", seed=5
+        )
+        assert status == 200
+        assert body["result"] == expected
 
 
 class TestRoutesAndRegistry:
