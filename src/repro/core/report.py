@@ -9,7 +9,6 @@ to regenerate ``EXPERIMENTS.md``.
 from __future__ import annotations
 
 import sys
-import time
 from typing import List, Optional
 
 from repro.core import experiments as E
@@ -46,11 +45,11 @@ def generate(
     runs over worker processes; ``cache`` (a
     :class:`repro.core.runcache.RunCache`) persists characterization
     runs so a regeneration with unchanged inputs skips them entirely.
-    The emitted report is byte-identical either way (modulo the
-    generation-time footer).  A Table 8 cell that fails renders as an
-    annotated FAILED row instead of aborting the whole report.
+    The emitted report is byte-identical either way, and from run to
+    run: its footer names the parameters, not the time taken.  A Table
+    8 cell that fails renders as an annotated FAILED row instead of
+    aborting the whole report.
     """
-    started = time.time()
     from repro.api import RunConfig, Session
 
     config = RunConfig(
@@ -60,10 +59,10 @@ def generate(
         # ``cache`` arrives as a RunCache instance (None = caching off),
         # so graft it onto the session rather than have it build its own.
         session._cache = cache
-        return _render(session, char_scale, eval_scale, seed, started)
+        return _render(session, char_scale, eval_scale, seed)
 
 
-def _render(context, char_scale: str, eval_scale: str, seed: int, started) -> str:
+def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
     """Every table and figure of the report, from one open session."""
     context.prefetch()
     sections: List[str] = []
@@ -344,9 +343,8 @@ def _render(context, char_scale: str, eval_scale: str, seed: int, started) -> st
         )
     )
 
-    elapsed = time.time() - started
     sections.append(
-        f"---\n\nGenerated in {elapsed:.0f}s by `repro.core.report.generate"
+        "---\n\nGenerated by `repro.core.report.generate"
         f"(char_scale={char_scale!r}, eval_scale={eval_scale!r}, seed={seed})`."
     )
     return "\n\n".join(sections) + "\n"

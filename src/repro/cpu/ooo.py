@@ -169,6 +169,7 @@ class OoOTimingModel:
                 latency = (
                     platform.l1_hit_int + platform.l2_latency + platform.memory_latency
                 )
+            latency = self._load_latency(instr, event.value, latency)
         elif instr.is_store:
             if addr is not None:
                 self.hierarchy.access(addr, is_write=True, is_load=False)
@@ -203,6 +204,12 @@ class OoOTimingModel:
             self._last_complete = complete
         if index >= self._prune_at:
             self._prune()
+
+    def _load_latency(self, instr: Instruction, value, latency: int) -> int:
+        """The cycles a load's dependents wait, given the latency of the
+        cache level that served it (a subclass with a value predictor
+        shortens or lengthens it)."""
+        return latency
 
     def _choose_issue(self, ready: int) -> int:
         """Earliest cycle >= ready with a free issue slot (out of order:

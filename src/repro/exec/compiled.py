@@ -7,9 +7,16 @@ This backend removes both: for each :class:`~repro.isa.program.Program`
 it generates specialized Python source per basic block — registers
 renamed to slots of one flat dense register file (a precomputed
 ``Reg -> int`` index map), immediates and array bases constant-folded,
-event sites emitted only for the event kinds actually observed —
-``compile()``s it once, and drives the block functions from a small
-trampoline loop.
+event sites emitted only for the event kinds actually observed — and
+drives the block functions from a small trampoline loop.
+
+Code is built on first entry.  The whole-program analyses (register
+slots, reachable prefixes, definite assignment, block sizes, event
+sids) and a small factory that binds a run's values run eagerly; each
+block is generated and ``compile()``d as its own unit the first time
+any run enters it, then cached on the :class:`CompiledProgram` for
+every later run and thread.  A block that never runs is never
+generated, and no single ``compile()`` sees the whole program.
 
 Five dispatch modes over four generated variants:
 
@@ -74,10 +81,12 @@ against them as the switch engine runs them.
 """
 from __future__ import annotations
 
+import builtins
 import itertools
 import linecache
+from types import CodeType, FunctionType
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
-from weakref import WeakKeyDictionary, finalize
+from weakref import WeakKeyDictionary, finalize, ref
 
 from repro import obs
 from repro.exec.interpreter import (
@@ -243,32 +252,6 @@ class _Batch:
         return "; ".join(stmts) + "; " if stmts else ""
 
 
-class CompiledProgram:
-    """One program compiled for one (array lengths, dispatch mode) pair."""
-
-    __slots__ = (
-        "filename", "source", "factory", "block_meta", "nregs", "reg_index",
-        "line_map", "instrs", "event_sids", "__weakref__",
-    )
-
-    def locate(self, exc: BaseException) -> Tuple[int, Optional[object]]:
-        """Attribute an exception to the deepest generated-code line.
-
-        Returns ``(executed_within_block, instruction)`` — zero/None when
-        no generated frame is on the traceback (then the trampoline's
-        own block-entry count already equals the switch count).
-        """
-        executed, instr = 0, None
-        tb = exc.__traceback__
-        while tb is not None:
-            if tb.tb_frame.f_code.co_filename == self.filename:
-                entry = self.line_map.get(tb.tb_lineno)
-                if entry is not None:
-                    executed, instr = entry
-            tb = tb.tb_next
-        return executed, instr
-
-
 def _collect_registers(program: Program) -> Dict[Reg, int]:
     """Stable Reg -> dense slot map; hard-wired r0 always occupies slot 0."""
     index: Dict[Reg, int] = {Reg(RegClass.INT, 0, virtual=False): 0}
@@ -358,9 +341,10 @@ def _definite_assignment(
 class _BlockCodegen:
     """Emits one basic block's function body."""
 
-    def __init__(self, gen: "_Generator", bi: int, defined: Optional[set]):
+    def __init__(self, gen: "_Generator", em: _Emitter, bi: int,
+                 defined: Optional[set]):
         self.gen = gen
-        self.em = gen.em
+        self.em = em
         self.bi = bi
         # None (unreachable block) -> guard every read.
         self.defined = set(defined) if defined is not None else set()
@@ -1022,13 +1006,19 @@ class _BlockCodegen:
 
 
 class _Generator:
-    """Assembles the whole ``_factory`` module source for one mode."""
+    """One program's generated code for one mode: the ``_factory``
+    preamble and ``_sync`` (:meth:`head`, :meth:`tail`) and each block's
+    function (:meth:`block`, on demand).
 
-    def __init__(self, program: Program, reg_index: Dict[Reg, int],
-                 bases: Dict[str, int], lengths: Dict[str, int],
-                 mode: Tuple) -> None:
-        self.program = program
-        self.reg_index = reg_index
+    The constructor runs the whole-program analyses every block's code
+    depends on.  It keeps the blocks' instructions, not the
+    :class:`Program` (the per-program cache holds compiled programs
+    weakly by it).
+    """
+
+    def __init__(self, program: Program, bases: Dict[str, int],
+                 lengths: Dict[str, int], mode: Tuple) -> None:
+        self.reg_index = reg_index = _collect_registers(program)
         self.mode = mode
         #: Record mode (a consumer-less run for repro.trace.record):
         #: the generated code appends every memory index, loaded value
@@ -1043,16 +1033,26 @@ class _Generator:
         self.telemetry = self.fused and mode[1]
         self.l1_geometry = mode[2] if self.fused else None
         self.sink_kinds = mode[1] if mode[0] == "masked" else frozenset()
+        self.reachable = [_reachable_prefix(b) for b in program.blocks]
         #: sids with an event site: reachable instructions of an
         #: observed kind (the factory binds each one's I<sid> publisher;
         #: each block function takes only those it uses).
         self.event_sids: List[int] = sorted(
-            ins.sid for b in program.blocks for ins in _reachable_prefix(b)
+            ins.sid for instrs in self.reachable for ins in instrs
             if ins.kind in self.sink_kinds
         )
-        self.em = _Emitter()
         self.block_pos = {b.name: i for i, b in enumerate(program.blocks)}
         self.nblocks = len(program.blocks)
+        self.defined_in = _definite_assignment(
+            program, self.reachable, reg_index, self.block_pos
+        )
+        #: Irregular = control flow before the last instruction; those
+        #: blocks report (next_block, executed) because the dynamic
+        #: instruction count depends on the path taken.
+        self.irregular = [
+            any(ins.opcode is _O.BR for ins in instrs[:-1])
+            for instrs in self.reachable
+        ]
         #: name -> (slot var, base address, length); declaration order.
         self.arrays = {
             name: (f"M{i}", bases[name], lengths[name])
@@ -1097,8 +1097,9 @@ class _Generator:
                 names += [f"FC_{kind}" for kind in EVENT_KINDS]
         return "".join(f", {name}={name}" for name in names)
 
-    def preamble(self) -> None:
-        em = self.em
+    def head(self, em: _Emitter) -> None:
+        """``def _factory(ns):`` and its preamble, which binds one run's
+        values to the names the block functions take as defaults."""
         em.emit(0, "def _factory(ns):")
         for stmt in (
             'R = ns["R"]',
@@ -1194,8 +1195,8 @@ class _Generator:
             for sid in self.event_sids:
                 em.emit(1, f"I{sid} = I[{sid}]")
 
-    def epilogue(self, nblocks: int) -> None:
-        em = self.em
+    def tail(self, em: _Emitter, returns: str) -> None:
+        """The factory's ``_sync`` and its ``return`` statement."""
         em.emit(1, "def _sync(events):")
         if self.fused:
             em.emit(2, "SQ._position = P0 + events")
@@ -1210,75 +1211,200 @@ class _Generator:
             em.emit(3, "CC[s2_] = st2_.accesses")
         else:
             em.emit(2, "pass")
-        names = ", ".join(f"b{i}" for i in range(nblocks))
-        if nblocks == 1:
-            names += ","
-        em.emit(1, f"return ({names}), _sync")
+        em.emit(1, f"return {returns}")
 
-
-def _generate(program: Program, bases: Dict[str, int],
-              lengths: Dict[str, int], mode: Tuple) -> CompiledProgram:
-    reg_index = _collect_registers(program)
-    blocks = program.blocks
-    reachable = [_reachable_prefix(b) for b in blocks]
-    gen = _Generator(program, reg_index, bases, lengths, mode)
-    defined_in = _definite_assignment(program, reachable, reg_index,
-                                      gen.block_pos)
-    gen.preamble()
-    em = gen.em
-    defaults = gen.block_defaults()
-    block_meta: List[int] = []
-    for bi, instrs in enumerate(reachable):
-        # Irregular = control flow before the last instruction; those
-        # blocks report (next_block, executed) because the dynamic
-        # instruction count depends on the path taken.
-        irregular = any(
-            ins.opcode is _O.BR for ins in instrs[:-1]
-        )
-        block_meta.append(-len(instrs) if irregular else len(instrs))
+    def block(self, em: _Emitter, bi: int) -> None:
+        """Block ``bi``'s function: the ``def`` line, then the body."""
+        instrs = self.reachable[bi]
+        defaults = self.block_defaults()
         header = len(em.lines)
         em.emit(1, f"def b{bi}(c{defaults}):")
-        if gen.fused:
+        if self.fused:
             if any(ins.is_load for ins in instrs):
                 em.emit(2, "nonlocal dyn")
             em.emit(2, "p = P0 + c")
         if not instrs:
-            em.emit(2, f"return {gen.fall_target(bi)}")
-            continue
-        block = _BlockCodegen(gen, bi, defined_in[bi])
-        block.emit(instrs, irregular)
+            em.emit(2, f"return {self.fall_target(bi)}")
+            return
+        block = _BlockCodegen(self, em, bi, self.defined_in[bi])
+        block.emit(instrs, self.irregular[bi])
         if block.event_sids:
             # Only the instruction constants this block's events use:
             # binding every program instruction in every block would
             # make masked-mode source quadratic in program size.
             events = "".join(f", I{sid}=I{sid}" for sid in block.event_sids)
             em.lines[header] = f"    def b{bi}(c{defaults}{events}):"
-    gen.epilogue(len(blocks))
 
-    source = "\n".join(em.lines) + "\n"
-    filename = f"<repro-compiled-{next(_FILENAME_COUNTER)}>"
-    code = compile(source, filename, "exec")
-    namespace: Dict[str, object] = {}
-    exec(code, namespace)
-    # Register the source so tracebacks through generated frames render.
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(True), filename
+    def module_source(self) -> str:
+        """The whole program as one ``_factory`` module, every block
+        generated: the layout a single ``compile()`` of the program would
+        take.  Nothing compiles it; it is for reading."""
+        em = _Emitter()
+        self.head(em)
+        for bi in range(self.nblocks):
+            self.block(em, bi)
+        names = ", ".join(f"b{i}" for i in range(self.nblocks))
+        if self.nblocks == 1:
+            names += ","
+        self.tail(em, f"({names}), _sync")
+        return "\n".join(em.lines) + "\n"
+
+
+#: Block functions read only builtins (``len``, ``int``, ...) from
+#: their globals: every other name is a parameter, a local or ``dyn``.
+_BLOCK_GLOBALS = {"__builtins__": builtins}
+
+
+class _Table(list):
+    """One run's trampoline table.  Its stubs refer to it weakly (and
+    never to themselves): a cycle would keep the run's functions, and
+    through their defaults its memory and tools, alive after the run
+    until the cyclic collector ran."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _forget_sources(filenames: Dict[str, object]) -> None:
+    for filename in list(filenames):
+        linecache.cache.pop(filename, None)
+
+
+class CompiledProgram:
+    """One program compiled for one (array lengths, dispatch mode) pair.
+
+    Built eagerly: the whole-program analyses and the generated
+    ``_factory`` (the preamble binding a run's values, and ``_sync``).
+    Built on first entry: each block's code, generated and compiled as
+    its own unit, then kept in a cache every run and thread shares.
+    """
+
+    __slots__ = (
+        "filename", "block_meta", "nregs", "reg_index", "instrs",
+        "event_sids", "_gen", "_factory", "_codes", "_line_maps",
+        "__weakref__",
     )
 
-    cp = CompiledProgram()
-    # linecache never evicts an entry without an mtime: drop it with
-    # the program, or every generated variant would stay for good.
-    finalize(cp, linecache.cache.pop, filename, None)
-    cp.filename = filename
-    cp.source = source
-    cp.factory = namespace["_factory"]
-    cp.block_meta = tuple(block_meta)
-    cp.nregs = len(reg_index)
-    cp.reg_index = reg_index
-    cp.line_map = em.line_map
-    cp.instrs = {ins.sid: ins for block in blocks for ins in block.instructions}
-    cp.event_sids = tuple(gen.event_sids)
-    return cp
+    def __init__(self, program: Program, bases: Dict[str, int],
+                 lengths: Dict[str, int], mode: Tuple) -> None:
+        gen = self._gen = _Generator(program, bases, lengths, mode)
+        self.filename = f"<repro-compiled-{next(_FILENAME_COUNTER)}>"
+        self.block_meta = tuple(
+            -len(instrs) if irregular else len(instrs)
+            for instrs, irregular in zip(gen.reachable, gen.irregular)
+        )
+        self.nregs = len(gen.reg_index)
+        self.reg_index = gen.reg_index
+        self.instrs = {
+            ins.sid: ins for block in program.blocks for ins in block.instructions
+        }
+        self.event_sids = tuple(gen.event_sids)
+        #: Block index -> its function's code object, once some run
+        #: entered the block.  Written with ``setdefault``, so racing
+        #: builders keep one code object and every run binds that one.
+        self._codes: Dict[int, CodeType] = {}
+        #: Unit filename -> (source line -> (executed, instruction)), for
+        #: :meth:`locate`; every unit's source is also in ``linecache``
+        #: so tracebacks through generated frames render.
+        self._line_maps: Dict[str, Dict[int, Tuple[int, object]]] = {}
+        # linecache never evicts an entry without an mtime: drop the
+        # units with the program, or every generated variant would stay.
+        finalize(self, _forget_sources, self._line_maps)
+        em = _Emitter()
+        gen.head(em)
+        # The factory hands the block binder its locals: the names the
+        # block functions take as defaults, and ``_sync``.
+        gen.tail(em, "locals()")
+        namespace: Dict[str, object] = {}
+        exec(self._compile(em, self.filename), namespace)
+        self._factory = namespace["_factory"]
+
+    @property
+    def source(self) -> str:
+        """The whole program as one module (see
+        :meth:`_Generator.module_source`): every block generated, none
+        compiled."""
+        return self._gen.module_source()
+
+    def _compile(self, em: _Emitter, filename: str) -> CodeType:
+        source = "\n".join(em.lines) + "\n"
+        code = compile(source, filename, "exec")
+        self._line_maps[filename] = em.line_map
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        return code
+
+    def _block_code(self, bi: int) -> CodeType:
+        """Generate and compile block ``bi`` as its own unit."""
+        em = _Emitter()
+        em.emit(0, "def _unit():")
+        # Gives fused mode's ``nonlocal dyn`` its enclosing binding; a
+        # run binds the function to the factory's own cell instead.
+        em.emit(1, "dyn = None")
+        self._gen.block(em, bi)
+        unit = self._compile(em, f"{self.filename[:-1]}:b{bi}>")
+        (wrapper,) = [c for c in unit.co_consts if isinstance(c, CodeType)]
+        (code,) = [c for c in wrapper.co_consts if isinstance(c, CodeType)]
+        return code
+
+    def factory(self, ns: Dict[str, object]) -> Tuple[List, object, List[int]]:
+        """One run's ``(table, sync, built)``.
+
+        ``table[bi]`` runs block ``bi``.  Every entry starts as a stub:
+        on first entry it fetches the block's code (generating and
+        compiling it when no run has), binds this run's values as the
+        function's defaults, replaces itself in the table and runs.
+        ``built`` lists the blocks whose code this run generated.
+        """
+        env = self._factory(ns)
+        sync = env["_sync"]
+        # A block's one free variable is fused mode's ``dyn``: the cell
+        # ``_sync`` reads, shared by every block of the run.
+        cells = dict(zip(sync.__code__.co_freevars, sync.__closure__ or ()))
+        codes = self._codes
+        table = _Table()
+        table_ref = ref(table)
+        built: List[int] = []
+
+        def stub_for(bi: int):
+            def stub(c):
+                code = codes.get(bi)
+                if code is None:
+                    new = self._block_code(bi)
+                    code = codes.setdefault(bi, new)
+                    if code is new:
+                        built.append(bi)
+                names = code.co_varnames[1:code.co_argcount]
+                # The run's driver holds the table while the run lasts.
+                fn = table_ref()[bi] = FunctionType(
+                    code, _BLOCK_GLOBALS, code.co_name,
+                    tuple([env[name] for name in names]),
+                    tuple([cells[name] for name in code.co_freevars]),
+                )
+                return fn(c)
+            return stub
+
+        table.extend(map(stub_for, range(len(self.block_meta))))
+        return table, sync, built
+
+    def locate(self, exc: BaseException) -> Tuple[int, Optional[object]]:
+        """Attribute an exception to the deepest generated-code line.
+
+        Returns ``(executed_within_block, instruction)`` — zero/None when
+        no generated frame is on the traceback (then the trampoline's
+        own block-entry count already equals the switch count).
+        """
+        executed, instr = 0, None
+        line_maps = self._line_maps
+        tb = exc.__traceback__
+        while tb is not None:
+            line_map = line_maps.get(tb.tb_frame.f_code.co_filename)
+            if line_map is not None:
+                entry = line_map.get(tb.tb_lineno)
+                if entry is not None:
+                    executed, instr = entry
+            tb = tb.tb_next
+        return executed, instr
 
 
 #: Per-Program compiled cache: Program identity -> {(lengths, mode): cp}.
@@ -1306,8 +1432,9 @@ def compiled_for(program: Program, bases: Dict[str, int],
         full = (code_key, lengths_key, mode)
         cp = _KEYED_CACHE.get(full)
         if cp is None:
-            cp = _KEYED_CACHE[full] = _for_program(program, bases, lengths,
-                                                   mode, key)
+            cp = _KEYED_CACHE.setdefault(
+                full, _for_program(program, bases, lengths, mode, key)
+            )
         return cp
     return _for_program(program, bases, lengths, mode, key)
 
@@ -1315,12 +1442,11 @@ def compiled_for(program: Program, bases: Dict[str, int],
 def _for_program(program: Program, bases: Dict[str, int],
                  lengths: Dict[str, int], mode: Tuple,
                  key: Tuple) -> CompiledProgram:
-    per = _WEAK_CACHE.get(program)
-    if per is None:
-        per = _WEAK_CACHE[program] = {}
+    # setdefault: threads racing to build one entry keep the first.
+    per = _WEAK_CACHE.setdefault(program, {})
     cp = per.get(key)
     if cp is None:
-        cp = per[key] = _generate(program, bases, lengths, mode)
+        cp = per.setdefault(key, CompiledProgram(program, bases, lengths, mode))
     return cp
 
 
@@ -1445,6 +1571,12 @@ def _timed_publishers(model, cp: CompiledProgram, fanouts):
     return sites, flush
 
 
+def _count_built(span, built: List[int]) -> None:
+    """Record how many blocks a run generated code for (telemetry on)."""
+    span.set_attr(blocks_compiled=len(built))
+    obs.metrics().counter("interp.blocks_compiled").inc(len(built))
+
+
 class _ExecContext:
     """Everything :meth:`CompiledInterpreter._drive` needs for one run.
 
@@ -1457,6 +1589,7 @@ class _ExecContext:
         "cp",
         "block_fns",
         "sync",
+        "built",
         "flush",
         "R",
         "rec",
@@ -1493,7 +1626,7 @@ class CompiledInterpreter(Interpreter):
 
     def _prepare(self, consumer_list: List[object],
                  record: bool = False) -> Optional["_ExecContext"]:
-        """Mode selection, codegen, and namespace assembly for one run.
+        """Mode selection and namespace assembly for one run.
 
         Returns the execution context the trampoline (:meth:`_drive`)
         needs, or None for an empty program.  ``record`` builds the
@@ -1575,12 +1708,13 @@ class CompiledInterpreter(Interpreter):
         elif dispatch_mode == "masked":
             ns["I"] = _publishers(cp, sinks_by_kind)
 
-        block_fns, sync = cp.factory(ns)
+        block_fns, sync, built = cp.factory(ns)
 
         ctx = _ExecContext()
         ctx.cp = cp
         ctx.block_fns = block_fns
         ctx.sync = sync
+        ctx.built = built
         ctx.flush = flush
         ctx.R = R
         ctx.rec = rec
@@ -1615,6 +1749,11 @@ class CompiledInterpreter(Interpreter):
         run_span = obs.span(
             "interpret", dispatch=ctx.dispatch_mode, consumers=ctx.nconsumers
         )
+
+        def flush_telemetry(count: int) -> None:
+            self._flush_telemetry(run_span, count, fanouts)
+            _count_built(run_span, ctx.built)
+
         bi = 0
         count = 0
         run_span.__enter__()
@@ -1646,11 +1785,11 @@ class CompiledInterpreter(Interpreter):
                         f"line {instr.line})"
                     )
                     if telemetry:
-                        self._flush_telemetry(run_span, count, fanouts)
+                        flush_telemetry(count)
                     run_span.__exit__(type(error), error, None)
                     raise error from None
                 if telemetry:
-                    self._flush_telemetry(run_span, count, fanouts)
+                    flush_telemetry(count)
                 run_span.__exit__(type(exc), exc, exc.__traceback__)
                 raise
         finally:
@@ -1664,12 +1803,12 @@ class CompiledInterpreter(Interpreter):
                 count = self._switch(bi, count, ctx.sinks_by_kind)
             except BaseException as exc:
                 if telemetry:
-                    self._flush_telemetry(run_span, self._stopped_at, fanouts)
+                    flush_telemetry(self._stopped_at)
                 run_span.__exit__(type(exc), exc, exc.__traceback__)
                 raise
         self.executed = count
         if telemetry:
-            self._flush_telemetry(run_span, count, fanouts)
+            flush_telemetry(count)
         run_span.__exit__(None, None, None)
         return count
 

@@ -7,12 +7,14 @@ block ran before each record tuple.  Recording runs the program
 exactly once at compiled-backend speed plus the per-site appends.
 
 Recording is strictly best-effort: a run that could cross the
-instruction budget mid-block, or that raises an error, abandons the
-recording and returns None — the caller falls back to direct
-execution, which reproduces the exact budget/error semantics.  An
-interrupt (``KeyboardInterrupt``, ``SystemExit``) is not an error of
-the run and propagates.  A stored artifact therefore always describes
-a complete, successful run.
+instruction budget mid-block, or whose program raises an error,
+abandons the recording and returns None — the caller falls back to
+direct execution, which reproduces the exact budget/error semantics.
+An interrupt (``KeyboardInterrupt``, ``SystemExit``) is not an error of
+the run and propagates, and so does an error that no generated block
+raised (a fault of the engine itself, e.g. while generating a block's
+code on first entry).  A stored artifact therefore always describes a
+complete, successful run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter, deque
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.exec.compiled import CompiledInterpreter
+from repro.exec.compiled import CompiledInterpreter, _count_built
 from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 from repro.trace.format import (
     BRANCH,
@@ -80,8 +82,12 @@ def record_trace(
                     append(bi)
                     bi, executed = block_fns[bi](count)
                     count += executed
-        except Exception:
+        except Exception as exc:
+            if ctx.cp.locate(exc)[1] is None:
+                raise  # not raised by the program's code: an engine fault
             return None
+        finally:
+            _count_built(span, ctx.built)
         interp._writeback(ctx.cp, ctx.R)
         interp.executed = count
         span.set_attr(instructions=count, blocks=len(blockseq))

@@ -20,8 +20,6 @@ from repro.branch.predictors import BasePredictor
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cpu.ooo import OoOTimingModel
 from repro.cpu.platforms import PlatformConfig
-from repro.exec.trace import TraceEvent
-from repro.isa.instructions import Opcode
 from repro.valuepred.predictors import BaseValuePredictor, ChooserPredictor
 
 
@@ -43,72 +41,24 @@ class ValuePredictingOoO(OoOTimingModel):
         self.value_hits = 0
         self.value_replays = 0
 
-    def on_event(self, event: TraceEvent) -> None:
-        instr = event.instr
-        if not instr.is_load:
-            super().on_event(event)
-            return
-
+    def _load_latency(self, instr, value, latency: int) -> int:
+        """The base model's load path calls this once per load, after
+        the LDBP feed and the cache access."""
         predictor = self.value_predictor
         confident = (
             predictor.confident(instr.sid)
             if hasattr(predictor, "confident")
             else predictor.predict(instr.sid) is not None
         )
-        correct = predictor.access(instr.sid, event.value)
-
-        # Run the base bookkeeping to get fetch/issue/cache behaviour.
-        platform = self.platform
-        index = self._index
-        self._index = index + 1
-        fetch = self._fetch_cycle
-        window_limit = self._ring[index % platform.window]
-        if window_limit > fetch:
-            fetch = window_limit
-            self._fetch_cycle = fetch
-            self._fetch_slot = 0
-        ready = fetch + 1
-        reg_ready = self._reg_ready
-        for src in instr.reads():
-            t = reg_ready.get(src, 0)
-            if t > ready:
-                ready = t
-        addr = event.addr
-        if addr in self._store_ready:
-            t = self._store_ready[addr] + platform.store_forward_penalty
-            if t > ready:
-                ready = t
-        level = self.hierarchy.access(addr, is_write=False, is_load=True)
-        if level == 1:
-            latency = (
-                platform.l1_hit_fp
-                if instr.opcode is Opcode.FLOAD
-                else platform.l1_hit_int
-            )
-        elif level == 2:
-            latency = platform.l1_hit_int + platform.l2_latency
-        else:
-            latency = platform.l1_hit_int + platform.l2_latency + platform.memory_latency
-
-        if confident:
-            self.value_predictions += 1
-            if correct:
-                self.value_hits += 1
-                latency = 1  # dependents proceed on the predicted value
-            else:
-                self.value_replays += 1
-                latency = latency + self.replay_penalty
-
-        issue = self._choose_issue(ready)
-        complete = issue + latency
-        if instr.dest is not None:
-            reg_ready[instr.dest] = complete
-        self._advance_fetch()
-        self._ring[index % platform.window] = complete
-        if complete > self._last_complete:
-            self._last_complete = complete
-        if index >= self._prune_at:
-            self._prune()
+        correct = predictor.access(instr.sid, value)
+        if not confident:
+            return latency
+        self.value_predictions += 1
+        if correct:
+            self.value_hits += 1
+            return 1  # dependents proceed on the predicted value
+        self.value_replays += 1
+        return latency + self.replay_penalty
 
     @property
     def value_coverage(self) -> float:

@@ -16,6 +16,22 @@ constant stands between an opcode and its reading.
 * **L1 load-to-use**: an integer pointer chase over one word; for FP
   loads a chain of FP load and FP->int convert, less the convert's
   own latency.
+* **L2 and memory load-to-use**: an integer pointer chase around
+  words one L1 way apart (one more word than the L1 has ways, so LRU
+  misses every time while L2 holds them all), and around words one L2
+  way apart (one more than either level has ways: both miss every
+  time).  ``l2_latency`` and ``memory_latency`` are the *additional*
+  cycles of a miss at the level above, so the declared load-to-use
+  latencies are ``l1_hit_int + l2_latency`` and that plus
+  ``memory_latency``.
+* **Store-to-load forwarding**: a register's round trip through one
+  word, a store then a load of the address just stored.  The load
+  waits for the store's completion (a store completes one cycle after
+  it issues) plus ``store_forward_penalty``, then takes its L1
+  load-to-use latency as well; the reading is the round trip less
+  those two.  It reads 0 on every column, the Pentium 4 included,
+  whose config comment describes expensive forwarding stalls but
+  declares no penalty.
 * **Misprediction penalty**: a straight run of branches that each
   execute once.  A branch the un-aliased hybrid has never seen is
   predicted not-taken, so the taken run always misses and the
@@ -41,6 +57,7 @@ import pytest
 from repro.cpu import PLATFORMS, make_timing_model
 from repro.exec import make_interpreter
 from repro.isa import BasicBlock, Instruction, Opcode, Program, Reg, RegClass
+from repro.isa.instructions import WORD_SIZE
 
 BACKENDS = ("switch", "compiled")
 
@@ -59,9 +76,10 @@ def f(index):
     return Reg(RegClass.FLOAT, index, virtual=False)
 
 
-def run(platform, backend, blocks, arrays=()):
+def run(platform, backend, blocks, arrays=(), values=None):
     """Time straight-line ``blocks`` (lists of instructions) on the
-    platform's model; ``arrays`` are one-word arrays bound to 0."""
+    platform's model; ``arrays`` are one-word arrays bound to 0, unless
+    ``values`` gives an array's contents."""
     program = Program("machine-table")
     for name, rclass in arrays:
         program.declare_array(name, 1, rclass)
@@ -71,17 +89,18 @@ def run(platform, backend, blocks, arrays=()):
     bindings = {
         name: [0.0 if rclass is RegClass.FLOAT else 0] for name, rclass in arrays
     }
+    bindings.update(values or {})
     model = make_timing_model(platform)
     make_interpreter(program, bindings, backend=backend).run(consumers=(model,))
     return model.result()
 
 
-def per_copy(platform, backend, setup, body, copies, arrays=()):
+def per_copy(platform, backend, setup, body, copies, arrays=(), values=None):
     """Cycles each further ``body`` adds, over ``copies`` more copies."""
     def cycles(n):
         return run(
             platform, backend,
-            [setup + body * n + [Instruction(Opcode.HALT)]], arrays,
+            [setup + body * n + [Instruction(Opcode.HALT)]], arrays, values,
         ).cycles
 
     return Fraction(cycles(2 * copies) - cycles(copies), copies)
@@ -145,6 +164,41 @@ def measure_loads(platform, backend):
     )
     convert = per_copy(platform, backend, zero, [to_fp, to_int], CHAIN) / 2
     return l1_int, step - convert
+
+
+def chase(platform, backend, stride_bytes, words):
+    """Load-to-use of a pointer chase around ``words`` words
+    ``stride_bytes`` apart (all but the first ``words`` loads warm)."""
+    step = stride_bytes // WORD_SIZE
+    nxt = [0] * (words * step)
+    for k in range(words):
+        nxt[k * step] = (k + 1) % words * step
+    return per_copy(
+        platform, backend, [Instruction(Opcode.LI, r(1), imm=0)],
+        [Instruction(Opcode.LOAD, r(1), (r(1),), imm=0, array="nxt")],
+        CHAIN, [("nxt", RegClass.INT)], {"nxt": nxt},
+    )
+
+
+def measure_deep_loads(platform, backend):
+    l1, l2 = platform.l1_config, platform.l2_config
+    l1_way = l1.size // l1.associativity
+    l2_way = l2.size // l2.associativity
+    return (
+        chase(platform, backend, l1_way, l1.associativity + 1),
+        chase(platform, backend, lcm(l1_way, l2_way),
+              max(l1.associativity, l2.associativity) + 1),
+    )
+
+
+def measure_forwarding(platform, backend, l1_int):
+    store = Instruction(Opcode.STORE, None, (r(1), r(0)), imm=0, array="a")
+    load = Instruction(Opcode.LOAD, r(1), (r(0),), imm=0, array="a")
+    zero = [Instruction(Opcode.LI, r(1), imm=0)]
+    round_trip = per_copy(
+        platform, backend, zero, [store, load], CHAIN, [("a", RegClass.INT)]
+    )
+    return round_trip - 1 - l1_int
 
 
 def branch_run(platform, backend, taken, count):
@@ -229,6 +283,12 @@ def measured_table(platform, backend):
     l1_int, l1_fp = measure_loads(platform, backend)
     table["L1 load-to-use, integer"] = l1_int
     table["L1 load-to-use, FP"] = l1_fp
+    l2, memory = measure_deep_loads(platform, backend)
+    table["L2 load-to-use"] = l2
+    table["memory load-to-use"] = memory
+    table["store-to-load forwarding"] = measure_forwarding(
+        platform, backend, l1_int
+    )
     table["misprediction penalty"] = measure_penalty(platform, backend)
     table["issue width"] = measure_issue_width(platform, backend)
     table["window"] = measure_window(platform, backend)
@@ -246,6 +306,11 @@ def declared_table(platform):
         )
     table["L1 load-to-use, integer"] = model.l1_hit_int
     table["L1 load-to-use, FP"] = model.l1_hit_fp
+    table["L2 load-to-use"] = model.l1_hit_int + model.l2_latency
+    table["memory load-to-use"] = (
+        model.l1_hit_int + model.l2_latency + model.memory_latency
+    )
+    table["store-to-load forwarding"] = model.store_forward_penalty
     table["misprediction penalty"] = model.mispredict_penalty
     table["issue width"] = model.issue_width
     table["window"] = model.window

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.cpu import ALPHA_21264
+from repro.cpu import ALPHA_21264, PLATFORMS, make_timing_model
 from repro.cpu.ooo import OoOTimingModel
 from repro.exec import Interpreter
 from repro.lang.compiler import CompilerOptions, compile_source
 from repro.valuepred import ValuePredictability, ValuePredictingOoO
+from repro.valuepred.predictors import LastValue
+from repro.workloads import get_workload
 
 O1 = CompilerOptions(opt_level=1)
 
@@ -136,3 +138,40 @@ void kernel() {
         values.append(i * 4 if i % 7 else 999)  # broken stride
     model = _cycles(ValuePredictingOoO, src, {"a": values, "out": [0]})
     assert model.value_predictions == model.value_hits + model.value_replays
+
+
+class _NeverConfident(LastValue):
+    """Trains as last-value does but never offers a confident prediction."""
+
+    def confident(self, sid):
+        return False
+
+
+#: The platform columns ``make_timing_model`` builds as an exact OoO model.
+OOO_COLUMNS = [
+    key for key in PLATFORMS
+    if type(make_timing_model(PLATFORMS[key])) is OoOTimingModel
+]
+
+
+@pytest.mark.parametrize("key", OOO_COLUMNS)
+def test_never_confident_value_prediction_is_the_base_model(key):
+    """With no confident prediction the value-predicting model is the
+    base model: the same ``TimingResult`` and the same predictor state,
+    so an LDBP predictor behind it learns the same load chains."""
+    platform = PLATFORMS[key]
+    spec = get_workload("hmmsearch")
+    program = spec.program(
+        options=platform.compiler_options(alias_model="may-alias")
+    )
+    base = make_timing_model(platform)
+    lvp = ValuePredictingOoO(
+        base.platform,
+        value_predictor=_NeverConfident(),
+        predictor=make_timing_model(platform).predictor,
+    )
+    for model in (base, lvp):
+        Interpreter(program, spec.dataset("test", 3)).run(consumers=(model,))
+    assert lvp.value_predictions == 0
+    assert lvp.result() == base.result()
+    assert lvp.predictor.snapshot() == base.predictor.snapshot()
