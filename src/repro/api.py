@@ -36,7 +36,7 @@ re-executing the program, bit-identical to direct execution.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -47,9 +47,15 @@ from repro.workloads.registry import all_workloads, get_workload, spec_workloads
 
 __all__ = ["AnalyzeResult", "RunConfig", "Session"]
 
-#: Environment variables of the deleted retry, timeout and
-#: fault-injection layer; a session refuses to start while one is set.
-_REMOVED_ENV = ("REPRO_RETRIES", "REPRO_TIMEOUT", "REPRO_FAULTS")
+#: Environment variables of deleted features, each with the reason; a
+#: session refuses to start while one is set.
+_REMOVED_ENV = {
+    "REPRO_RETRIES": "removed along with task retries",
+    "REPRO_TIMEOUT": "removed along with task timeouts",
+    "REPRO_FAULTS": "removed along with fault injection",
+    "REPRO_BACKEND": "removed along with the engine choice: every run "
+    "uses the compiled engine",
+}
 
 #: The Table 7 platform keys, in paper order, plus the LDBP what-if
 #: column (docs/branch-prediction.md).
@@ -67,11 +73,7 @@ class RunConfig:
     turns the persistent run cache off entirely; ``cache_dir`` pins its
     directory (default: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``).
     ``trace`` names a JSONL file: telemetry is enabled for the
-    session's lifetime and flushed there on close.  ``backend`` picks
-    the execution engine (``compiled`` or ``switch``; None defers to
-    ``$REPRO_BACKEND``, then the compiled default — see
-    :mod:`repro.exec.backends`).  Both backends are bit-identical, so
-    cached runs are shared across backends.
+    session's lifetime and flushed there on close.
     """
 
     scale: str = "medium"
@@ -81,10 +83,13 @@ class RunConfig:
     cache: bool = True
     cache_dir: Optional[str] = None
     trace: Optional[str] = None
-    backend: Optional[str] = None
 
     def with_overrides(self, **overrides) -> "RunConfig":
-        """A copy with the given fields replaced (None values ignored)."""
+        """A copy with the given fields replaced (None values ignored).
+        A name that is not a field raises ``TypeError``, None or not."""
+        unknown = set(overrides) - {f.name for f in fields(self)}
+        if unknown:
+            raise TypeError(f"unknown RunConfig field(s) {sorted(unknown)}")
         changes = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, **changes) if changes else self
 
@@ -126,13 +131,9 @@ class Session:
         if config is None:
             config = RunConfig()
         self.config = config.with_overrides(**overrides)
-        self.backend  # fail fast on unknown backend names
-        for name in _REMOVED_ENV:
+        for name, reason in _REMOVED_ENV.items():
             if os.environ.get(name, "").strip():
-                raise ValueError(
-                    f"${name} was removed along with task retries, timeouts "
-                    "and fault injection; unset it"
-                )
+                raise ValueError(f"${name} was {reason}; unset it")
         self._runs: Dict[Tuple[str, str, int], CharacterizationResult] = {}
         self._fingerprints: Dict[Tuple[str, str, int], str] = {}
         self._traces: Dict[Tuple[str, str, int], object] = {}
@@ -165,13 +166,6 @@ class Session:
     @property
     def jobs(self) -> int:
         return max(1, int(self.config.jobs))
-
-    @property
-    def backend(self) -> str:
-        """The resolved backend name (compiled/switch)."""
-        from repro.exec.backends import resolve_backend
-
-        return resolve_backend(self.config.backend)
 
     @property
     def cache(self):
@@ -261,8 +255,7 @@ class Session:
                 source = "interp"
                 ((_, result),) = self._runner.map(
                     parallel._characterize_task,
-                    [(name, scale, seed, DEFAULT_MAX_INSTRUCTIONS,
-                      self.config.backend)],
+                    [(name, scale, seed, DEFAULT_MAX_INSTRUCTIONS)],
                 )
                 if self._cache is not None:
                     self._cache.store(self._fingerprint(name, scale, seed), result)
@@ -287,12 +280,9 @@ class Session:
         ``tools`` is a list of :mod:`repro.atom.registry` names (default:
         the standard characterization four).  The first analyze of a
         ``(workload, scale, seed)`` records a trace with the compiled
-        backend's record mode and banks it in the run cache; after
-        that any tool set is answered at replay speed.  Recording
-        always uses the compiled backend regardless of the session's
-        configured backend — both backends are bit-identical, so the
-        trace (and everything replayed from it) matches what either
-        would observe.  Unknown tool names raise ``KeyError``.
+        engine's record mode and banks it in the run cache; after
+        that any tool set is answered at replay speed, bit-identical
+        to a direct run.  Unknown tool names raise ``KeyError``.
         """
         from repro.atom.registry import payloads as tool_payloads
         from repro.atom.registry import resolve_tools
@@ -395,8 +385,7 @@ class Session:
             if not missing:
                 return
             tasks = [
-                (name, self.scale, self.seed, DEFAULT_MAX_INSTRUCTIONS,
-                 self.config.backend)
+                (name, self.scale, self.seed, DEFAULT_MAX_INSTRUCTIONS)
                 for name in missing
             ]
             runs = self._runner.map_settled(parallel._characterize_task, tasks)
@@ -428,8 +417,9 @@ class Session:
         ``platform`` (default ``"alpha"``), run in the calling process
         and memoized per (workload, platform, scale, seed).
 
-        Without: the full Table 8 grid over ``platforms`` (default: all
-        four Table 7 models) at ``eval_scale``, returning runtime rows
+        Without: the full Table 8 grid over ``platforms`` (default:
+        :data:`DEFAULT_PLATFORMS`, the four Table 7 models plus the
+        LDBP column) at ``eval_scale``, returning runtime rows
         with :class:`~repro.core.parallel.FailedCell` markers for cells
         that failed (or raising when ``strict=True``).
         ``checkpoint`` streams completed cells to a JSONL file and
@@ -446,7 +436,7 @@ class Session:
             evaluation = self._evaluations.get(memo_key)
             if evaluation is None:
                 _name, _key, evaluation = parallel._evaluate_task(
-                    (workload, memo_key[1], scale, seed, self.config.backend)
+                    (workload, memo_key[1], scale, seed)
                 )
                 self._evaluations[memo_key] = evaluation
             return evaluation
@@ -458,7 +448,6 @@ class Session:
             runner=self._runner,
             checkpoint=checkpoint,
             strict=strict,
-            backend=self.config.backend,
         )
 
     # -- sweeps --------------------------------------------------------------
@@ -487,7 +476,6 @@ class Session:
             raise ValueError(f"unknown sweep kind {kind!r} (want platform|compiler)")
         kwargs.setdefault("scale", self.scale)
         kwargs.setdefault("seed", self.seed)
-        kwargs.setdefault("backend", self.config.backend)
         return fn(workload, field, values, runner=self._runner, **kwargs)
 
     # -- lifecycle -----------------------------------------------------------

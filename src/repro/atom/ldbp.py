@@ -13,7 +13,7 @@ misprediction rate) under the baseline drops below the threshold under
 LDBP.
 
 Like every ATOM-style tool here it is a plain event consumer, so the
-same analysis runs on the switch and compiled backends and —
+same analysis runs on the switch and compiled engines and —
 because it is registered in :mod:`repro.atom.registry` with
 ``needs_values=True`` — replays bit-identically from a stored trace via
 ``Session.analyze(tools=["ldbp"])``.

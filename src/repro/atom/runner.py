@@ -78,34 +78,29 @@ def characterize(
     bindings: Optional[Mapping[str, object]] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     workload: Optional[str] = None,
-    backend: Optional[str] = None,
+    *,
     code_key: Optional[str] = None,
 ) -> CharacterizationResult:
-    """Run ``program`` once with the standard four tools attached.
+    """Run ``program`` once on the compiled engine with the standard
+    four tools attached.
 
     ``workload`` is a telemetry-only label attached to the span this
     run emits when tracing is enabled (see :mod:`repro.obs`).
-    ``backend`` selects the execution engine (compiled/switch;
-    default per :func:`repro.exec.backends.resolve_backend`);
     ``code_key`` is a stable run identity (the workload fingerprint)
-    letting the compiled backend share generated code across equal
+    letting the compiled engine share generated code across equal
     programs.
     """
-    from repro.exec.backends import make_interpreter, resolve_backend
+    from repro.exec.backends import make_interpreter
 
     mix = InstructionMix()
     coverage = LoadCoverage()
     cache = CacheSim()
     sequences = SequenceProfile()
-    backend = resolve_backend(backend)
-    with obs.span(
-        "characterize", workload=workload or "?", backend=backend
-    ) as span:
+    with obs.span("characterize", workload=workload or "?") as span:
         interp = make_interpreter(
             program,
             bindings,
             max_instructions=max_instructions,
-            backend=backend,
             code_key=code_key,
         )
         executed = interp.run(consumers=(mix, coverage, cache, sequences))

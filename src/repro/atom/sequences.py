@@ -277,7 +277,7 @@ class SequenceProfile:
             if dest_key is not None and dest_key == pending.dest:
                 continue  # overwritten before use
             alive.append(pending)
-        # In-place so the list object stays stable (the compiled backend
+        # In-place so the list object stays stable (the compiled engine
         # binds it once per run and appends through the same object).
         pending_list[:] = alive
 

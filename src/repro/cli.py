@@ -27,7 +27,7 @@ Commands:
 
 Every work-running subcommand (characterize, candidates, evaluate,
 disasm, report) accepts one shared execution flag group —
-``--jobs/--cache/--no-cache/--cache-dir/--trace/--backend`` — threaded
+``--jobs/--cache/--no-cache/--cache-dir/--trace`` — threaded
 into a single :class:`repro.api.Session`, so parallelism and caching
 behave identically everywhere (``report`` caches by default; the
 per-workload commands opt in with ``--cache``).
@@ -40,7 +40,6 @@ writes the collected spans and metrics to a JSONL trace on exit.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -92,13 +91,6 @@ def _work_parent() -> argparse.ArgumentParser:
         help="enable telemetry and write a JSONL trace "
         "(default file: repro-trace.jsonl)",
     )
-    group.add_argument(
-        "--backend",
-        choices=["compiled", "switch"],
-        default=suppress,
-        help="execution backend (default: $REPRO_BACKEND or compiled); "
-        "both are bit-identical — see docs/performance.md",
-    )
     return parent
 
 
@@ -118,7 +110,6 @@ def _session_from_args(args, scale: str, eval_scale: Optional[str] = None,
             jobs=jobs,
             cache=getattr(args, "use_cache", cache_default),
             cache_dir=getattr(args, "cache_dir", None),
-            backend=getattr(args, "backend", None),
         )
     )
 
@@ -503,8 +494,8 @@ def _cmd_serve(args) -> None:
     )
     print(
         f"repro serve: http://{args.host}:{args.port} "
-        f"(jobs={session.jobs}, backend={session.backend}, "
-        f"scale={session.scale}, max_queue={policy.max_queue}, "
+        f"(jobs={session.jobs}, scale={session.scale}, "
+        f"max_queue={policy.max_queue}, "
         f"telemetry={'on' if service.telemetry else 'off'})"
     )
     try:
@@ -680,12 +671,6 @@ def _cmd_trace_ls(args) -> None:
 
 def main(argv: Optional[List[str]] = None) -> None:
     args = _build_parser().parse_args(argv)
-
-    # One choke point for backend selection: exporting the flag makes
-    # every construction site — including worker processes spawned
-    # later — resolve the same engine (see repro.exec.backends).
-    if getattr(args, "backend", None):
-        os.environ["REPRO_BACKEND"] = args.backend
 
     trace_path = args.trace
     if trace_path is None:

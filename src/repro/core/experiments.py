@@ -487,7 +487,6 @@ def table8_runtimes(
     runner=None,
     checkpoint: Optional[str] = None,
     strict: bool = False,
-    backend: Optional[str] = None,
 ) -> List:
     """Table 8: original vs transformed cycles per amenable program and
     platform (the paper reports seconds; cycles are the simulator
@@ -504,17 +503,13 @@ def table8_runtimes(
     instead of raising) unless ``strict=True``.  ``checkpoint`` names a
     JSONL file: completed cells stream into it as they settle, and a
     rerun with the same sweep parameters loads them back and runs only
-    the missing cells.  ``backend`` picks the execution engine (None:
-    the ambient one); engines are bit-identical, so checkpointed cells
-    resume across backends.
+    the missing cells.
     """
     from repro.core.parallel import FailedCell, ParallelRunner, _evaluate_task
     from repro.core.resume import SweepCheckpoint, sweep_fingerprint
 
     names = [spec.name for spec in amenable_workloads()]
-    tasks = [
-        (name, key, scale, seed, backend) for key in platform_keys for name in names
-    ]
+    tasks = [(name, key, scale, seed) for key in platform_keys for name in names]
     store = SweepCheckpoint.open_for(
         checkpoint,
         sweep_fingerprint("table8", scale, seed, tuple(platform_keys), tuple(names)),

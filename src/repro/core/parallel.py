@@ -95,34 +95,33 @@ class FailedCell:
 
 
 def _characterize_task(task: Tuple) -> Tuple[str, CharacterizationResult]:
-    """One characterization run: ``(name, scale, seed, max_instructions,
-    backend)``, backend None meaning the ambient one.  The workload
-    fingerprint is the compiled backend's code key, so a long-lived
-    worker pays codegen once per workload, not once per task."""
-    name, scale, seed, max_instructions, backend = task
+    """One characterization run: ``(name, scale, seed,
+    max_instructions)``.  The workload fingerprint is the compiled
+    engine's code key, so a long-lived worker pays codegen once per
+    workload, not once per task."""
+    name, scale, seed, max_instructions = task
     from repro.core.runcache import workload_fingerprint
 
     spec = get_workload(name)
     code_key = workload_fingerprint(name, scale, seed, max_instructions)
     result = characterize(
         spec.program(), spec.dataset(scale, seed), max_instructions=max_instructions,
-        workload=name, backend=backend, code_key=code_key,
+        workload=name, code_key=code_key,
     )
     return name, result
 
 
 def _evaluate_task(task: Tuple):
     """One original-vs-transformed evaluation on one platform:
-    ``(name, platform_key, scale, seed, backend)``, backend None meaning
-    the ambient one."""
-    name, platform_key, scale, seed, backend = task
+    ``(name, platform_key, scale, seed)``."""
+    name, platform_key, scale, seed = task
     from repro.core.pipeline import evaluate_workload
     from repro.cpu.platforms import PLATFORMS
 
     platform = PLATFORMS[platform_key]
     spec = get_workload(name)
     return name, platform_key, evaluate_workload(
-        spec, platform, scale=scale, seed=seed, backend=backend
+        spec, platform, scale=scale, seed=seed
     )
 
 
@@ -382,7 +381,7 @@ class ParallelRunner:
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     ) -> Dict[str, CharacterizationResult]:
         """One characterization run per workload, keyed by name."""
-        tasks = [(name, scale, seed, max_instructions, None) for name in names]
+        tasks = [(name, scale, seed, max_instructions) for name in names]
         return dict(self.map(_characterize_task, tasks))
 
     def characterize_seeds(
@@ -394,7 +393,7 @@ class ParallelRunner:
         does not depend on worker scheduling)."""
         if not seeds:
             raise ValueError("characterize_seeds needs at least one seed")
-        tasks = [(name, scale, seed, max_instructions, None) for seed in seeds]
+        tasks = [(name, scale, seed, max_instructions) for seed in seeds]
         runs = [result for _, result in self.map(_characterize_task, tasks)]
         first = runs[0]
         with obs.span("parallel.merge", workload=name, runs=len(runs)):

@@ -10,7 +10,7 @@ speedup.  :func:`harmonic_mean_speedup` aggregates per Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.cpu.platforms import PlatformConfig, make_timing_model
 from repro.cpu.ooo import TimingResult
@@ -51,14 +51,12 @@ def run_timed(
     scale: str = "medium",
     seed: int = 0,
     alias_model: str = "may-alias",
-    backend: Optional[str] = None,
 ) -> TimingResult:
-    """Compile one variant for ``platform`` and time it on ``backend``
-    (None: the ambient one, see :mod:`repro.exec.backends`)."""
+    """Compile one variant for ``platform`` and time it."""
     options = platform.compiler_options(alias_model=alias_model)
     program = spec.program(transformed=transformed, options=options)
     model = make_timing_model(platform)
-    interp = make_interpreter(program, spec.dataset(scale, seed), backend=backend)
+    interp = make_interpreter(program, spec.dataset(scale, seed))
     interp.run(consumers=(model,))
     return model.result()
 
@@ -69,11 +67,10 @@ def evaluate_workload(
     scale: str = "medium",
     seed: int = 0,
     alias_model: str = "may-alias",
-    backend: Optional[str] = None,
 ) -> EvaluationResult:
     """Time original and transformed variants on one platform."""
-    original = run_timed(spec, platform, False, scale, seed, alias_model, backend)
-    transformed = run_timed(spec, platform, True, scale, seed, alias_model, backend)
+    original = run_timed(spec, platform, False, scale, seed, alias_model)
+    transformed = run_timed(spec, platform, True, scale, seed, alias_model)
     return EvaluationResult(
         workload=spec.name,
         platform=platform.name,

@@ -54,16 +54,14 @@ def _platform_point(task) -> SweepPoint:
     Module-level (and spec-by-name) so sweep points can be farmed out to
     worker processes; called inline for serial sweeps.
     """
-    name, field, value, base, scale, seed, backend = task
+    name, field, value, base, scale, seed = task
     spec = get_workload(name)
     platform = dataclasses.replace(
         base, name=f"{base.name}[{field}={value}]", **{field: value}
     )
     if field == "int_registers":
         platform = dataclasses.replace(platform, float_registers=value)
-    evaluation = evaluate_workload(
-        spec, platform, scale=scale, seed=seed, backend=backend
-    )
+    evaluation = evaluate_workload(spec, platform, scale=scale, seed=seed)
     return SweepPoint(
         field=field,
         value=value,
@@ -74,7 +72,7 @@ def _platform_point(task) -> SweepPoint:
 
 def _compiler_point(task) -> SweepPoint:
     """Worker: evaluate one compiler-flag sweep point (both versions)."""
-    name, field, value, platform, scale, seed, backend = task
+    name, field, value, platform, scale, seed = task
     from repro.cpu.platforms import make_timing_model
     from repro.exec.backends import make_interpreter
     from repro.lang.compiler import compile_source
@@ -88,9 +86,9 @@ def _compiler_point(task) -> SweepPoint:
             spec.source(transformed), f"{spec.name}-{field}-{value}", options
         )
         model = make_timing_model(platform)
-        make_interpreter(
-            program, spec.dataset(scale, seed), backend=backend
-        ).run(consumers=(model,))
+        make_interpreter(program, spec.dataset(scale, seed)).run(
+            consumers=(model,)
+        )
         return model.result().cycles
 
     return SweepPoint(
@@ -118,7 +116,6 @@ def sweep_platform_field(
     seed: int = 0,
     jobs: int = 1,
     runner=None,
-    backend: Optional[str] = None,
 ) -> List[SweepPoint]:
     """Evaluate original vs transformed while varying one platform field.
 
@@ -130,8 +127,7 @@ def sweep_platform_field(
 
     ``jobs > 1`` evaluates the points across worker processes; each
     point is independent and results keep ``values`` order, so output
-    is identical to the serial sweep.  ``backend`` picks the execution
-    engine (None: the ambient one).
+    is identical to the serial sweep.
     """
     spec = _resolve(workload)
     names = {f.name for f in dataclasses.fields(PlatformConfig)}
@@ -139,9 +135,7 @@ def sweep_platform_field(
         raise ValueError(
             f"unknown platform field {field!r}; expected one of {sorted(names)}"
         )
-    tasks = [
-        (spec.name, field, value, base, scale, seed, backend) for value in values
-    ]
+    tasks = [(spec.name, field, value, base, scale, seed) for value in values]
     return _run_points(_platform_point, tasks, jobs, runner)
 
 
@@ -154,23 +148,19 @@ def sweep_compiler_flag(
     seed: int = 0,
     jobs: int = 1,
     runner=None,
-    backend: Optional[str] = None,
 ) -> List[SweepPoint]:
     """Vary one :class:`CompilerOptions` field for both code versions.
 
     Useful fields: ``alias_model`` ('may-alias' vs 'restrict'),
     ``enable_cmov``, ``enable_hoist``, ``enable_schedule``,
-    ``unroll_factor``, ``opt_level``.  ``jobs`` and ``backend`` work as
-    in :func:`sweep_platform_field`.
+    ``unroll_factor``, ``opt_level``.  ``jobs`` works as in
+    :func:`sweep_platform_field`.
     """
     spec = _resolve(workload)
     probe = platform.compiler_options()
     if not hasattr(probe, field):
         raise ValueError(f"unknown compiler option {field!r}")
-    tasks = [
-        (spec.name, field, value, platform, scale, seed, backend)
-        for value in values
-    ]
+    tasks = [(spec.name, field, value, platform, scale, seed) for value in values]
     return _run_points(_compiler_point, tasks, jobs, runner)
 
 

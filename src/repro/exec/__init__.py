@@ -6,12 +6,7 @@ it executes a :class:`repro.isa.Program` and publishes one
 attached analysis consumers.
 """
 
-from repro.exec.backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    make_interpreter,
-    resolve_backend,
-)
+from repro.exec.backends import make_interpreter
 from repro.exec.interpreter import (
     BudgetExceeded,
     Interpreter,
@@ -21,14 +16,11 @@ from repro.exec.interpreter import (
 from repro.exec.trace import TraceCollector, TraceEvent
 
 __all__ = [
-    "BACKENDS",
     "BudgetExceeded",
-    "DEFAULT_BACKEND",
     "Interpreter",
     "InterpreterError",
     "TraceCollector",
     "TraceEvent",
     "make_interpreter",
-    "resolve_backend",
     "run_program",
 ]

@@ -1,9 +1,9 @@
-"""Compiled execution backend: per-block codegen, bit-identical to the switch.
+"""Compiled execution engine: per-block codegen, bit-identical to the switch.
 
 The switch interpreter (:mod:`repro.exec.interpreter`) pays, for every
 dynamic instruction, an opcode-dispatch chain plus ``Dict[Reg, Number]``
 register traffic (each lookup runs a Python-level ``Reg.__hash__``).
-This backend removes both: for each :class:`~repro.isa.program.Program`
+This engine removes both: for each :class:`~repro.isa.program.Program`
 it generates specialized Python source per basic block — registers
 renamed to slots of one flat dense register file (a precomputed
 ``Reg -> int`` index map), immediates and array bases constant-folded,
@@ -1608,7 +1608,7 @@ class CompiledInterpreter(Interpreter):
     Identical constructor contract plus ``code_key``: an optional stable
     identity (the workload fingerprint) enabling the cross-Program
     compiled-code cache.  ``run`` produces bit-identical tool state,
-    memory, registers, telemetry, and errors versus the switch backend.
+    memory, registers, telemetry, and errors versus the switch engine.
     """
 
     def __init__(self, program, bindings=None,

@@ -456,15 +456,12 @@ def run_program(
     bindings: Optional[Mapping[str, Binding]] = None,
     consumers: Iterable[object] = (),
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    backend: Optional[str] = None,
 ) -> Interpreter:
-    """Convenience wrapper: build an interpreter, run it, return it.
-
-    ``backend`` selects the execution engine (``compiled``/``switch``;
-    default per :func:`repro.exec.backends.resolve_backend`).
+    """Convenience wrapper: build the compiled engine
+    (:func:`repro.exec.backends.make_interpreter`), run it, return it.
     """
     from repro.exec.backends import make_interpreter
 
-    interp = make_interpreter(program, bindings, max_instructions, backend)
+    interp = make_interpreter(program, bindings, max_instructions)
     interp.run(consumers)
     return interp

@@ -209,7 +209,7 @@ class Instruction:
         # is a collision-free packing of (index, class, virtual), so these
         # keys identify registers across programs while hashing at C speed
         # (dict lookups on Reg itself go through a Python-level __hash__
-        # call).  The sequence profiler and the compiled backend key their
+        # call).  The sequence profiler and the compiled engine key their
         # register-indexed state by these.
         self._read_keys = tuple(reg._hash for reg in self._reads)
         self._dest_key = None if self.dest is None else self.dest._hash

@@ -7,7 +7,6 @@ rejection — produces exactly one record:
     {"type": "access", "ts": ..., "request_id": "req-...",
      "kind": "characterize", "workload": "hmmsearch", "id": "<fp>",
      "status": 200, "outcome": "ok", "cached": false,
-     "backend": "compiled",
      "stages_ms": {"queue": 1.2, "exec": 40.3, "total": 41.8}}
 
 plus ``coalesced_into`` (the leader's request ID) on a follower that

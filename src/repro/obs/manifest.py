@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 #: Bump when the manifest layout changes incompatibly.
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 #: The standard characterization tool set, in attach order.
 STANDARD_TOOLS = ("mix", "coverage", "cache", "sequences")
@@ -95,19 +95,15 @@ def run_manifest(
     seed: int,
     max_instructions: Optional[int] = None,
     timings: Optional[Mapping[str, float]] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Manifest for one characterization run of a registered workload.
 
     The fingerprint is computed by :func:`repro.core.runcache.
     workload_fingerprint` — identical inputs to the run cache's key, so
     the manifest of a run and the cache entry that stores it always
-    carry the same identity.  ``backend`` records the execution engine
-    (resolved from the environment when not given); the fingerprint
-    deliberately excludes it, since every backend is bit-identical.
+    carry the same identity.
     """
     from repro.core.runcache import workload_fingerprint
-    from repro.exec.backends import resolve_backend
     from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
 
     if max_instructions is None:
@@ -117,7 +113,6 @@ def run_manifest(
         "scale": scale,
         "seed": seed,
         "max_instructions": max_instructions,
-        "backend": resolve_backend(backend),
     }
     return build_manifest(
         kind="characterization",

@@ -506,12 +506,7 @@ class Batcher:
             return None
         from repro.obs.manifest import run_manifest
 
-        manifest = run_manifest(
-            record["workload"],
-            record["scale"],
-            record["seed"],
-            backend=self._session.backend,
-        )
+        manifest = run_manifest(record["workload"], record["scale"], record["seed"])
         return dict(record, manifest=manifest)
 
     # -- lifecycle ------------------------------------------------------------

@@ -22,7 +22,7 @@ Routes::
 
     POST /v1/characterize | /v1/evaluate | /v1/sweep | /v1/analyze
          | /v1/submit
-    GET  /healthz   liveness, uptime, backend, worker processes,
+    GET  /healthz   liveness, uptime, worker processes,
                     flight-recorder status
     GET  /metrics   repro.obs metrics snapshot (JSON, the default) or
                     Prometheus text exposition (?format=prometheus)
@@ -218,10 +218,7 @@ class CharacterizationService:
         counter = counters.get(counter_key)
         if counter is None:
             counter = counters[counter_key] = registry.counter(
-                "serve.requests",
-                workload=workload,
-                backend=self.session.backend,
-                outcome=outcome,
+                "serve.requests", workload=workload, outcome=outcome
             )
         counter.inc()
         stages = obs_fields.get("stages_ms") or {}
@@ -240,7 +237,6 @@ class CharacterizationService:
             "kind": obs_fields.get("kind"),
             "id": obs_fields.get("id"),
             "cached": obs_fields.get("cached", False),
-            "backend": self.session.backend,
             "stages_ms": stages or None,
         }
         if "coalesced_into" in obs_fields:
@@ -271,7 +267,6 @@ class CharacterizationService:
                 "pending": self.batcher.pending,
                 "queue_depth": self.admission.depth,
                 "jobs": self.session.jobs,
-                "backend": self.session.backend,
                 "scale": self.session.scale,
                 "telemetry": self.telemetry,
                 "workers": getattr(

@@ -3,7 +3,7 @@
 The ATOM workflow this repo reproduces instruments a binary once and
 runs many analyses over the resulting event stream.  This package makes
 the stream itself a first-class, cacheable artifact: the compiled
-backend's record mode captures one run into a compact
+engine's record mode captures one run into a compact
 columnar :class:`TraceArtifact` (:mod:`repro.trace.format`), the
 :class:`TraceStore` banks it in the run cache keyed by workload
 fingerprint, and :func:`replay_tools` answers any registered analysis

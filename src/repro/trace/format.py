@@ -9,7 +9,7 @@ near-arithmetic sequence, so delta encoding followed by zlib collapses
 it, and branch outcome columns are one byte per execution before
 compression.
 
-Site layout mirrors the compiled backend's record-mode codegen
+Site layout mirrors the compiled engine's record-mode codegen
 (:mod:`repro.exec.compiled`) exactly, in emission order over each
 block's reachable prefix:
 

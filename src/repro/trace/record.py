@@ -1,10 +1,10 @@
 """Trace recording: one instrumented compiled execution -> artifact.
 
-Runs the compiled backend's record mode (generated code that appends
+Runs the compiled engine's record mode (generated code that appends
 every memory index, loaded value and branch direction to a ``rec``
 list) and steps the block trampoline itself so it can note *which*
 block ran before each record tuple.  Recording runs the program
-exactly once at compiled-backend speed plus the per-site appends.
+exactly once at compiled-engine speed plus the per-site appends.
 
 Recording is strictly best-effort: a run that could cross the
 instruction budget mid-block, or whose program raises an error,

@@ -3,7 +3,7 @@
 Two tiers, picked per tool:
 
 * **Column tier** — ``InstructionMix`` and ``LoadCoverage`` (the exact
-  stock classes, mirroring the compiled backend's inlining rule) are
+  stock classes, mirroring the compiled engine's inlining rule) are
   pure functions of *how many times each site executed*, which the
   artifact's per-block entry counts, per-branch taken counts, and
   first-touch load order already hold.  Replay is O(static program):
@@ -76,7 +76,7 @@ def replay_tools(
     ) as span:
         walk: Dict[str, object] = {}
         for name, tool in tools.items():
-            # Exact-type checks, like the backend's fusion rule: a
+            # Exact-type checks, like the engine's fusion rule: a
             # subclass may override on_event and must see real events.
             if type(tool) is InstructionMix:
                 _replay_mix(artifact, program, tool)

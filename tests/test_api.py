@@ -145,43 +145,6 @@ def test_evaluate_grid_jobs1_equals_jobs2():
     assert rows and not any(isinstance(r, FailedCell) for r in rows)
 
 
-def test_session_backend_reaches_evaluate_grid_and_sweeps(monkeypatch):
-    """``Session(backend=...)`` picks the engine of a single cell, the
-    grid and both sweep kinds, not only of characterization; and the
-    two engines' results are equal."""
-    from repro.exec.compiled import CompiledInterpreter
-    from repro.exec.interpreter import Interpreter
-
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    built = []
-    real_init = Interpreter.__init__
-
-    def recording_init(self, *args, **kwargs):
-        built.append(type(self))
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Interpreter, "__init__", recording_init)
-
-    def evaluate_everything(backend):
-        built.clear()
-        with Session(
-            scale="test", eval_scale="test", backend=backend, cache=False
-        ) as session:
-            results = (
-                session.evaluate("hmmsearch", platform="alpha"),
-                session.evaluate(platforms=("alpha",)),
-                session.sweep("predator", "l1_hit_int", [3]),
-                session.sweep("predator", "enable_cmov", [False], kind="compiler"),
-            )
-        return results, set(built)
-
-    switch, switch_engines = evaluate_everything("switch")
-    compiled, compiled_engines = evaluate_everything("compiled")
-    assert switch_engines == {Interpreter}
-    assert compiled_engines == {CompiledInterpreter}
-    assert switch == compiled
-
-
 def test_evaluate_grid_degrades_to_failed_cells_and_annotated_figure9(monkeypatch):
     monkeypatch.setattr(parallel, "_evaluate_task", _evaluate_fails_on_hmmsearch)
     session = Session(eval_scale="test", cache=False)

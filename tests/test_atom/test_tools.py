@@ -11,6 +11,7 @@ from repro.atom import (
 )
 from repro.exec import Interpreter
 from repro.lang.compiler import CompilerOptions, compile_source
+from tests.engines import ENGINES
 
 O0 = CompilerOptions(opt_level=0)
 
@@ -234,17 +235,16 @@ void kernel() {
     # ...but every path from it to the b load crosses a JMP.
     assert summary.after_hard_branch_fraction == 0.0
 
-    # The compiled backend's fused fast path inlines the same window
-    # logic; it must agree bit-for-bit.
+    # The compiled engine's fused fast path inlines the same window
+    # logic; with the standard four attached, both engines must agree
+    # bit-for-bit.
     program = compile_source(src, "t", O0)
-    for backend in ("switch", "compiled"):
-        result = characterize(program, dict(bindings), backend=backend)
-        compiled_summary = result.sequences.summary()
-        assert compiled_summary.loads_after_hard_branch == 0
-        assert (
-            compiled_summary.load_to_branch_loads
-            == summary.load_to_branch_loads
-        )
+    for engine in ENGINES.values():
+        four = (InstructionMix(), LoadCoverage(), CacheSim(), SequenceProfile())
+        engine(program, dict(bindings)).run(consumers=four)
+        four_summary = four[-1].summary()
+        assert four_summary.loads_after_hard_branch == 0
+        assert four_summary.load_to_branch_loads == summary.load_to_branch_loads
 
 
 def test_characterize_runs_all_tools(simple_source, simple_bindings):

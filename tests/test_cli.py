@@ -132,20 +132,16 @@ def test_trace_env_var(capsys, tmp_path, monkeypatch):
 
 
 def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
-    """The deleted ``batched`` backend, cluster and batch-window flags,
+    """The deleted engine choice, cluster and batch-window flags,
     retry/timeout/fault-injection inputs and ``bench`` command are errors
-    naming the value, never a silent fallback."""
-    from repro.api import Session
-    from repro.exec.backends import resolve_backend
+    naming the input, never a silent fallback."""
+    from repro.api import RunConfig, Session
 
-    with pytest.raises(ValueError, match="'batched'"):
-        resolve_backend("batched")
-    with pytest.raises(ValueError, match="'batched'"):
-        Session(backend="batched", cache=False)
-    monkeypatch.setenv("REPRO_BACKEND", "batched")
-    with pytest.raises(ValueError, match="'batched'"):
-        Session(cache=False)
-    monkeypatch.delenv("REPRO_BACKEND")
+    for value in ("switch", "compiled", None):
+        with pytest.raises(TypeError, match="backend"):
+            Session(backend=value, cache=False)
+    with pytest.raises(TypeError, match="backend"):
+        RunConfig(backend="switch")
 
     for flag in (["--replicas", "2"], ["--max-batch", "4"],
                  ["--batch-window", "0.1"]):
@@ -164,13 +160,15 @@ def test_removed_backend_and_cluster_names_fail_loudly(monkeypatch, capsys):
         ["disasm", "fasta"], ["report"], ["serve"],
         ["trace", "record", "fasta"], ["trace", "replay", "fasta"],
     )
-    for flag in (["--timeout", "5"], ["--retries", "2"], ["--faults", "crash=0.2"]):
+    for flag in (["--timeout", "5"], ["--retries", "2"],
+                 ["--faults", "crash=0.2"], ["--backend", "switch"]):
         for command in work_commands:
             with pytest.raises(SystemExit) as info:
                 main(command + flag)
             assert info.value.code == 2
             assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
-    for name in ("REPRO_RETRIES", "REPRO_TIMEOUT", "REPRO_FAULTS"):
+    for name in ("REPRO_RETRIES", "REPRO_TIMEOUT", "REPRO_FAULTS",
+                 "REPRO_BACKEND"):
         monkeypatch.setenv(name, "1")
         with pytest.raises(ValueError, match=rf"\${name} was removed"):
             Session(cache=False)

@@ -191,7 +191,7 @@ def test_session_uses_cache(tmp_path):
 def test_worker_failure_carries_task_identity(jobs):
     from repro.core.parallel import WorkerTaskError, _characterize_task
 
-    tasks = [("nosuch", "test", 0, 1000, None), ("alsonot", "test", 7, 1000, None)]
+    tasks = [("nosuch", "test", 0, 1000), ("alsonot", "test", 7, 1000)]
     with ParallelRunner(jobs=jobs) as runner:
         with pytest.raises(WorkerTaskError) as info:
             runner.map(_characterize_task, tasks)

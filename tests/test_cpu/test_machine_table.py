@@ -55,11 +55,9 @@ from math import lcm
 import pytest
 
 from repro.cpu import PLATFORMS, make_timing_model
-from repro.exec import make_interpreter
 from repro.isa import BasicBlock, Instruction, Opcode, Program, Reg, RegClass
 from repro.isa.instructions import WORD_SIZE
-
-BACKENDS = ("switch", "compiled")
+from tests.engines import ENGINES
 
 #: Dependent-chain length and number of rotating destinations for the
 #: independent copies (enough that CMOV, which reads its destination,
@@ -76,7 +74,7 @@ def f(index):
     return Reg(RegClass.FLOAT, index, virtual=False)
 
 
-def run(platform, backend, blocks, arrays=(), values=None):
+def run(platform, engine, blocks, arrays=(), values=None):
     """Time straight-line ``blocks`` (lists of instructions) on the
     platform's model; ``arrays`` are one-word arrays bound to 0, unless
     ``values`` gives an array's contents."""
@@ -91,15 +89,15 @@ def run(platform, backend, blocks, arrays=(), values=None):
     }
     bindings.update(values or {})
     model = make_timing_model(platform)
-    make_interpreter(program, bindings, backend=backend).run(consumers=(model,))
+    engine(program, bindings).run(consumers=(model,))
     return model.result()
 
 
-def per_copy(platform, backend, setup, body, copies, arrays=(), values=None):
+def per_copy(platform, engine, setup, body, copies, arrays=(), values=None):
     """Cycles each further ``body`` adds, over ``copies`` more copies."""
     def cycles(n):
         return run(
-            platform, backend,
+            platform, engine,
             [setup + body * n + [Instruction(Opcode.HALT)]], arrays, values,
         ).cycles
 
@@ -126,7 +124,7 @@ def alu_setup(reg, li):
     ]
 
 
-def measure_alu(platform, backend, opcode):
+def measure_alu(platform, engine, opcode):
     reg, li, _declared = ALU[opcode]
     setup = alu_setup(reg, li)
     if opcode is Opcode.CMOV:
@@ -141,32 +139,32 @@ def measure_alu(platform, backend, opcode):
             Instruction(opcode, reg(10 + k), (reg(2), reg(3)))
             for k in range(ROTATE)
         ]
-    latency = per_copy(platform, backend, setup, [chain], CHAIN)
+    latency = per_copy(platform, engine, setup, [chain], CHAIN)
     # Whole turns of the window and of the issue group, so the
     # difference spans a whole number of steady-state periods.
     model = make_timing_model(platform).platform
     turns = lcm(model.window, model.issue_width, model.fetch_width, ROTATE)
-    throughput = per_copy(platform, backend, setup, copies, turns // ROTATE)
+    throughput = per_copy(platform, engine, setup, copies, turns // ROTATE)
     return latency, throughput / ROTATE
 
 
-def measure_loads(platform, backend):
+def measure_loads(platform, engine):
     zero = [Instruction(Opcode.LI, r(1), imm=0)]
     chase = Instruction(Opcode.LOAD, r(1), (r(1),), imm=0, array="nxt")
     l1_int = per_copy(
-        platform, backend, zero, [chase], CHAIN, [("nxt", RegClass.INT)]
+        platform, engine, zero, [chase], CHAIN, [("nxt", RegClass.INT)]
     )
     fload = Instruction(Opcode.FLOAD, f(1), (r(1),), imm=0, array="fa")
     to_int = Instruction(Opcode.CVTFI, r(1), (f(1),))
     to_fp = Instruction(Opcode.CVTIF, f(1), (r(1),))
     step = per_copy(
-        platform, backend, zero, [fload, to_int], CHAIN, [("fa", RegClass.FLOAT)]
+        platform, engine, zero, [fload, to_int], CHAIN, [("fa", RegClass.FLOAT)]
     )
-    convert = per_copy(platform, backend, zero, [to_fp, to_int], CHAIN) / 2
+    convert = per_copy(platform, engine, zero, [to_fp, to_int], CHAIN) / 2
     return l1_int, step - convert
 
 
-def chase(platform, backend, stride_bytes, words):
+def chase(platform, engine, stride_bytes, words):
     """Load-to-use of a pointer chase around ``words`` words
     ``stride_bytes`` apart (all but the first ``words`` loads warm)."""
     step = stride_bytes // WORD_SIZE
@@ -174,34 +172,34 @@ def chase(platform, backend, stride_bytes, words):
     for k in range(words):
         nxt[k * step] = (k + 1) % words * step
     return per_copy(
-        platform, backend, [Instruction(Opcode.LI, r(1), imm=0)],
+        platform, engine, [Instruction(Opcode.LI, r(1), imm=0)],
         [Instruction(Opcode.LOAD, r(1), (r(1),), imm=0, array="nxt")],
         CHAIN, [("nxt", RegClass.INT)], {"nxt": nxt},
     )
 
 
-def measure_deep_loads(platform, backend):
+def measure_deep_loads(platform, engine):
     l1, l2 = platform.l1_config, platform.l2_config
     l1_way = l1.size // l1.associativity
     l2_way = l2.size // l2.associativity
     return (
-        chase(platform, backend, l1_way, l1.associativity + 1),
-        chase(platform, backend, lcm(l1_way, l2_way),
+        chase(platform, engine, l1_way, l1.associativity + 1),
+        chase(platform, engine, lcm(l1_way, l2_way),
               max(l1.associativity, l2.associativity) + 1),
     )
 
 
-def measure_forwarding(platform, backend, l1_int):
+def measure_forwarding(platform, engine, l1_int):
     store = Instruction(Opcode.STORE, None, (r(1), r(0)), imm=0, array="a")
     load = Instruction(Opcode.LOAD, r(1), (r(0),), imm=0, array="a")
     zero = [Instruction(Opcode.LI, r(1), imm=0)]
     round_trip = per_copy(
-        platform, backend, zero, [store, load], CHAIN, [("a", RegClass.INT)]
+        platform, engine, zero, [store, load], CHAIN, [("a", RegClass.INT)]
     )
     return round_trip - 1 - l1_int
 
 
-def branch_run(platform, backend, taken, count):
+def branch_run(platform, engine, taken, count):
     """``count`` first-execution branches, each to the next block."""
     blocks = [[Instruction(Opcode.LI, r(1), imm=1 if taken else 0)]]
     for k in range(count):
@@ -210,12 +208,12 @@ def branch_run(platform, backend, taken, count):
             Instruction(Opcode.BR, None, (r(1),), target=f"b{k + 2}"),
         ])
     blocks.append([Instruction(Opcode.HALT)])
-    return run(platform, backend, blocks)
+    return run(platform, engine, blocks)
 
 
-def measure_penalty(platform, backend):
+def measure_penalty(platform, engine):
     runs = {
-        (taken, count): branch_run(platform, backend, taken, count)
+        (taken, count): branch_run(platform, engine, taken, count)
         for taken in (True, False)
         for count in (CHAIN // 2, CHAIN)
     }
@@ -225,11 +223,11 @@ def measure_penalty(platform, backend):
     def added(taken):
         return runs[taken, CHAIN].cycles - runs[taken, CHAIN // 2].cycles
 
-    depth = run(platform, backend, [[Instruction(Opcode.HALT)]]).cycles
+    depth = run(platform, engine, [[Instruction(Opcode.HALT)]]).cycles
     return Fraction(added(True) - added(False), CHAIN // 2) - depth
 
 
-def measure_issue_width(platform, backend):
+def measure_issue_width(platform, engine):
     """Dependents of one DIV are all fetched while it runs and become
     ready together: the largest group that issues in that one cycle."""
     def cycles(dependents):
@@ -240,7 +238,7 @@ def measure_issue_width(platform, backend):
             Instruction(Opcode.ADD, r(3 + k % 8), (r(2), r(0)))
             for k in range(dependents)
         ]
-        return run(platform, backend, [body + [Instruction(Opcode.HALT)]]).cycles
+        return run(platform, engine, [body + [Instruction(Opcode.HALT)]]).cycles
 
     width = 1
     while cycles(width + 1) == cycles(1):
@@ -248,20 +246,20 @@ def measure_issue_width(platform, backend):
     return width
 
 
-def measure_window(platform, backend):
+def measure_window(platform, engine):
     """One more than the most fillers two cold misses can straddle and
     still overlap (the second miss is the window's last entry)."""
     arrays = [("a", RegClass.INT), ("b", RegClass.INT)]
     first = Instruction(Opcode.LOAD, r(2), (r(0),), imm=0, array="a")
     second = Instruction(Opcode.LOAD, r(3), (r(0),), imm=0, array="b")
-    miss = run(platform, backend, [[first, Instruction(Opcode.HALT)]], arrays)
+    miss = run(platform, engine, [[first, Instruction(Opcode.HALT)]], arrays)
     latency = miss.cycles - 1  # fetched at 0, ready after decode at 1
 
     def serialized(fillers):
         body = [first] + [
             Instruction(Opcode.LI, r(4 + k % 8), imm=0) for k in range(fillers)
         ] + [second, Instruction(Opcode.HALT)]
-        return run(platform, backend, [body], arrays).cycles >= 2 * latency
+        return run(platform, engine, [body], arrays).cycles >= 2 * latency
 
     low, high = 0, 1024
     assert serialized(high)
@@ -274,24 +272,24 @@ def measure_window(platform, backend):
     return low + 1
 
 
-def measured_table(platform, backend):
+def measured_table(platform, engine):
     table = {}
     for opcode in ALU:
-        latency, throughput = measure_alu(platform, backend, opcode)
+        latency, throughput = measure_alu(platform, engine, opcode)
         table[f"{opcode.name} latency"] = latency
         table[f"{opcode.name} reciprocal throughput"] = throughput
-    l1_int, l1_fp = measure_loads(platform, backend)
+    l1_int, l1_fp = measure_loads(platform, engine)
     table["L1 load-to-use, integer"] = l1_int
     table["L1 load-to-use, FP"] = l1_fp
-    l2, memory = measure_deep_loads(platform, backend)
+    l2, memory = measure_deep_loads(platform, engine)
     table["L2 load-to-use"] = l2
     table["memory load-to-use"] = memory
     table["store-to-load forwarding"] = measure_forwarding(
-        platform, backend, l1_int
+        platform, engine, l1_int
     )
-    table["misprediction penalty"] = measure_penalty(platform, backend)
-    table["issue width"] = measure_issue_width(platform, backend)
-    table["window"] = measure_window(platform, backend)
+    table["misprediction penalty"] = measure_penalty(platform, engine)
+    table["issue width"] = measure_issue_width(platform, engine)
+    table["window"] = measure_window(platform, engine)
     return table
 
 
@@ -317,8 +315,8 @@ def declared_table(platform):
     return table
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("engine", list(ENGINES.values()), ids=list(ENGINES))
 @pytest.mark.parametrize("key", list(PLATFORMS))
-def test_measured_table7_equals_declared(key, backend):
+def test_measured_table7_equals_declared(key, engine):
     platform = PLATFORMS[key]
-    assert measured_table(platform, backend) == declared_table(platform)
+    assert measured_table(platform, engine) == declared_table(platform)

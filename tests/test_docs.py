@@ -247,7 +247,7 @@ class TestRelativeLinks:
 
 #: Facts the docs state by name; renaming the thing must fail here.
 REQUIRED_ANCHORS = {
-    "README.md": ["Session(", "--backend switch", "python -m repro serve",
+    "README.md": ["Session(", "switch reference engine", "python -m repro serve",
                   "docs/service.md", "FailedCell"],
     os.path.join("docs", "architecture.md"): [
         "repro.api.Session", "workload_fingerprint", "/runs/",
@@ -264,7 +264,9 @@ REQUIRED_ANCHORS = {
     os.path.join("docs", "robustness.md"): [
         "FailedCell", "WorkerCrash", "--checkpoint", "quarantine",
     ],
-    os.path.join("docs", "performance.md"): ["--backend"],
+    os.path.join("docs", "performance.md"): [
+        "The reference engine", "test_fuzz.py", "test_timed_path.py",
+    ],
     os.path.join("docs", "observability.md"): [
         "--trace", "perfbench/run.py", "X-Repro-Request-Id",
         "format=prometheus", "obs tail", "repro-flightrec-v1",

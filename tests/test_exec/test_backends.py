@@ -1,12 +1,13 @@
-"""Differential matrix: the compiled backend must be bit-identical to switch.
+"""Differential matrix: the compiled engine must be bit-identical to switch.
 
-The compiled backend (``repro.exec.compiled``) is a from-scratch code
+The compiled engine (``repro.exec.compiled``) is a from-scratch code
 generator; these tests are the proof obligation that it is an *exact*
 semantic clone of the reference switch interpreter.  Every registered
 workload runs on both engines and every observable — tool snapshots,
 scalar/array state, executed counts, telemetry counters, error
 strings, budget-abort points — must match to the bit, serially and
-through the process-parallel session path.
+through the process-parallel session path.  Generated programs get the
+same treatment in ``test_fuzz.py``.
 """
 
 import pytest
@@ -16,16 +17,12 @@ from repro.api import RunConfig, Session
 from repro.atom import CacheSim, InstructionMix, LoadCoverage, SequenceProfile
 from repro.branch.predictors import Hybrid
 from repro.cache.hierarchy import CacheHierarchy
-from repro.exec import (
-    BudgetExceeded,
-    InterpreterError,
-    TraceCollector,
-    make_interpreter,
-)
+from repro.exec import BudgetExceeded, Interpreter, InterpreterError, TraceCollector
+from repro.exec.compiled import CompiledInterpreter
 from repro.lang import CompilerOptions, compile_source
 from repro.workloads import all_workloads, spec_workloads
+from tests.engines import ENGINES
 
-BACKENDS = ("switch", "compiled")
 SCALE = "test"
 
 WORKLOADS = [spec.name for spec in all_workloads() + spec_workloads()]
@@ -37,7 +34,7 @@ def standard_tools():
     return (InstructionMix(), LoadCoverage(), CacheSim(), SequenceProfile())
 
 
-def run_workload(name, backend, tools=None, max_instructions=None):
+def run_workload(name, engine, tools=None, max_instructions=None):
     """One characterization run; returns (interp, tools)."""
     from repro.workloads import get_workload
 
@@ -46,9 +43,7 @@ def run_workload(name, backend, tools=None, max_instructions=None):
     kwargs = {}
     if max_instructions is not None:
         kwargs["max_instructions"] = max_instructions
-    interp = make_interpreter(
-        spec.program(), spec.dataset(SCALE, 0), backend=backend, **kwargs
-    )
+    interp = engine(spec.program(), spec.dataset(SCALE, 0), **kwargs)
     interp.run(consumers=tools)
     return interp, tools
 
@@ -74,11 +69,11 @@ def interp_counters(snapshot):
     }
 
 
-def assert_all_equal(by_backend):
-    """Every backend's observation equals the switch reference."""
-    reference = by_backend["switch"]
-    for backend, value in by_backend.items():
-        assert value == reference, f"{backend} diverges from switch"
+def assert_all_equal(by_engine):
+    """Every engine's observation equals the switch reference."""
+    reference = by_engine["switch"]
+    for engine, value in by_engine.items():
+        assert value == reference, f"{engine} diverges from switch"
 
 
 # -- full workload matrix, serial -----------------------------------------
@@ -89,9 +84,9 @@ def test_serial_fused_bit_identical(name):
     """Four standard tools: the compiled engine's inlined (fused) tool
     code matches the tools' own ``on_event`` on the switch."""
     states = {}
-    for backend in BACKENDS:
-        interp, tools = run_workload(name, backend)
-        states[backend] = observable_state(interp, tools)
+    for label, engine in ENGINES.items():
+        interp, tools = run_workload(name, engine)
+        states[label] = observable_state(interp, tools)
     assert_all_equal(states)
 
 
@@ -107,7 +102,7 @@ def _out_of_lockstep_tools():
     """A CacheSim that already observed a run, with a fresh
     LoadCoverage: its counts no longer mirror ``per_load``."""
     cache = CacheSim()
-    run_workload("fasta", "switch", tools=(cache,))
+    run_workload("fasta", Interpreter, tools=(cache,))
     return (InstructionMix(), LoadCoverage(), cache, SequenceProfile())
 
 
@@ -146,14 +141,12 @@ def test_stock_rule_selects_dispatch_mode(tool_set):
 
     make_tools, mode = STOCK_RULE[tool_set]
     spec = get_workload("fasta")
-    interp = make_interpreter(
-        spec.program(), spec.dataset(SCALE, 0), backend="compiled"
-    )
+    interp = CompiledInterpreter(spec.program(), spec.dataset(SCALE, 0))
     assert interp._prepare(list(make_tools())).dispatch_mode == mode
     states = {}
-    for backend in BACKENDS:
-        interp, tools = run_workload("fasta", backend, tools=make_tools())
-        states[backend] = observable_state(interp, tools)
+    for label, engine in ENGINES.items():
+        interp, tools = run_workload("fasta", engine, tools=make_tools())
+        states[label] = observable_state(interp, tools)
     assert_all_equal(states)
 
 
@@ -166,10 +159,10 @@ def test_serial_masked_bit_identical(name):
     dispatch order, addresses, and branch outcomes exactly.
     """
     streams = {}
-    for backend in BACKENDS:
+    for label, engine in ENGINES.items():
         collector = TraceCollector()
-        interp, tools = run_workload(name, backend, tools=(InstructionMix(), collector))
-        streams[backend] = {
+        interp, tools = run_workload(name, engine, tools=(InstructionMix(), collector))
+        streams[label] = {
             "state": observable_state(interp, (tools[0],)),
             "events": [
                 (e.instr.sid, e.addr, e.taken, e.value) for e in collector
@@ -203,7 +196,7 @@ def test_masked_blocks_bind_only_their_own_instructions():
     """
     program = compile_source(source, "t", O0)
     bindings = {"a": list(range(8)), "out": [0, 0]}
-    interp = make_interpreter(program, bindings, backend="compiled")
+    interp = CompiledInterpreter(program, bindings)
     generated = interp._prepare([TraceCollector()]).cp.source
     headers = re.findall(r"def b(\d+)\((.*)\):", generated)
     assert len(headers) == len(program.blocks) >= 6
@@ -211,12 +204,10 @@ def test_masked_blocks_bind_only_their_own_instructions():
         bound = re.findall(r"\bI\d+=", params)
         assert len(bound) <= len(program.blocks[int(bi)].instructions), bi
     streams = {}
-    for backend in BACKENDS:
+    for label, engine in ENGINES.items():
         collector = TraceCollector()
-        make_interpreter(program, dict(bindings), backend=backend).run(
-            consumers=(collector,)
-        )
-        streams[backend] = [
+        engine(program, dict(bindings)).run(consumers=(collector,))
+        streams[label] = [
             (e.instr.sid, e.addr, e.taken, e.value) for e in collector
         ]
     assert_all_equal(streams)
@@ -237,7 +228,7 @@ def test_generated_source_leaves_linecache_with_its_program():
     def unit_filenames(consumers):
         """The variant's factory unit, and one unit per block its run
         entered (block code is compiled on first entry)."""
-        interp = make_interpreter(program, {"out": [0]}, backend="compiled")
+        interp = CompiledInterpreter(program, {"out": [0]})
         ctx = interp._prepare(consumers)
         interp._drive(ctx)
         return list(ctx.cp._line_maps)
@@ -259,9 +250,9 @@ def test_generated_source_leaves_linecache_with_its_program():
 def test_serial_bare_bit_identical(name):
     """No consumers (the bare loop): final machine state matches."""
     states = {}
-    for backend in BACKENDS:
-        interp, _ = run_workload(name, backend, tools=())
-        states[backend] = observable_state(interp, ())
+    for label, engine in ENGINES.items():
+        interp, _ = run_workload(name, engine, tools=())
+        states[label] = observable_state(interp, ())
     assert_all_equal(states)
 
 
@@ -276,19 +267,19 @@ def test_telemetry_counters_match(name, tool_set):
     engine's masked dispatch of the same four tools counts."""
     snapshots = {}
     dispatch = {}
-    for backend in BACKENDS:
+    for label, engine in ENGINES.items():
         tools = standard_tools() if tool_set == "fused" else (InstructionMix(),)
         obs.enable()
         try:
-            run_workload(name, backend, tools=tools)
+            run_workload(name, engine, tools=tools)
             snapshot = obs.metrics().snapshot()
             (span,) = [
                 r for r in obs.get_tracer().drain() if r.name == "interpret"
             ]
-            dispatch[backend] = span.attrs["dispatch"]
+            dispatch[label] = span.attrs["dispatch"]
         finally:
             obs.disable()
-        snapshots[backend] = interp_counters(snapshot)
+        snapshots[label] = interp_counters(snapshot)
     assert snapshots["compiled"], "telemetry run recorded no interp.* counters"
     assert dispatch == {"switch": "masked", "compiled": tool_set}
     assert_all_equal(snapshots)
@@ -298,28 +289,18 @@ def test_telemetry_counters_match(name, tool_set):
 
 
 def test_jobs2_sessions_bit_identical():
-    """Every workload through ``jobs=2`` worker pools, one session per
-    backend: identical tool snapshots and executed counts."""
-    results = {}
-    for backend in BACKENDS:
-        session = Session(
-            RunConfig(scale=SCALE, jobs=2, cache=False, backend=backend)
-        )
-        assert session.backend == backend
+    """Every workload through a ``jobs=2`` worker pool equals the switch
+    engine's serial run: identical tool snapshots and executed counts."""
+    with Session(RunConfig(scale=SCALE, jobs=2, cache=False)) as session:
         session.prefetch(WORKLOADS)
-        results[backend] = {
-            name: {
-                "executed": run.executed,
-                "mix": run.mix.snapshot(),
-                "coverage": run.coverage.snapshot(),
-                "cache": run.cache.snapshot(),
-                "sequences": run.sequences.snapshot(),
-            }
-            for name in WORKLOADS
-            for run in [session.run(name)]
-        }
-    assert set(results["compiled"]) == set(WORKLOADS)
-    assert_all_equal(results)
+        runs = {name: session.run(name) for name in WORKLOADS}
+    pooled, serial = {}, {}
+    for name, run in runs.items():
+        tools = (run.mix, run.coverage, run.cache, run.sequences)
+        pooled[name] = (run.executed, [tool.snapshot() for tool in tools])
+        interp, tools = run_workload(name, Interpreter)
+        serial[name] = (interp.executed, [tool.snapshot() for tool in tools])
+    assert_all_equal({"switch": serial, "compiled, jobs=2": pooled})
 
 
 # -- budget semantics ------------------------------------------------------
@@ -330,16 +311,13 @@ BUDGETS = [1, 2, 777, 12345]
 
 def _assert_budget_parity(budget, telemetry):
     outcomes = {}
-    for backend in BACKENDS:
+    for label, engine in ENGINES.items():
         from repro.workloads import get_workload
 
         spec = get_workload("hmmsearch")
         tools = standard_tools()
-        interp = make_interpreter(
-            spec.program(),
-            spec.dataset(SCALE, 0),
-            max_instructions=budget,
-            backend=backend,
+        interp = engine(
+            spec.program(), spec.dataset(SCALE, 0), max_instructions=budget
         )
         if telemetry:
             obs.enable()
@@ -350,7 +328,7 @@ def _assert_budget_parity(budget, telemetry):
         finally:
             obs.disable()
         assert bool(counters) == telemetry
-        outcomes[backend] = {
+        outcomes[label] = {
             "message": str(excinfo.value),
             "state": observable_state(interp, tools),
             "counters": counters,
@@ -378,9 +356,9 @@ def test_budget_exceeded_parity_with_telemetry(budget):
 # -- error message parity --------------------------------------------------
 
 
-def _error_message(source, backend, bindings=None, consumers=()):
+def _error_message(source, engine, bindings=None, consumers=()):
     program = compile_source(source, "t", O0)
-    interp = make_interpreter(program, bindings, backend=backend)
+    interp = engine(program, bindings)
     with pytest.raises(InterpreterError) as excinfo:
         interp.run(consumers=consumers)
     return str(excinfo.value)
@@ -418,13 +396,13 @@ def test_error_message_parity(case, tooling):
     with and without the fused tool set attached."""
     source, bindings, fragment = case
     messages = {
-        backend: _error_message(
+        label: _error_message(
             source,
-            backend,
+            engine,
             bindings=bindings,
             consumers=standard_tools() if tooling == "fused" else (),
         )
-        for backend in BACKENDS
+        for label, engine in ENGINES.items()
     }
     assert_all_equal(messages)
     assert fragment in messages["compiled"]
@@ -446,15 +424,13 @@ def test_oob_abort_state_parity():
     }
     """
     outcomes = {}
-    for backend in BACKENDS:
+    for label, engine in ENGINES.items():
         program = compile_source(source, "t", O0)
         tools = standard_tools()
-        interp = make_interpreter(
-            program, {"a": [3] * 8, "out": [0] * 8}, backend=backend
-        )
+        interp = engine(program, {"a": [3] * 8, "out": [0] * 8})
         with pytest.raises(InterpreterError) as excinfo:
             interp.run(consumers=tools)
-        outcomes[backend] = {
+        outcomes[label] = {
             "message": str(excinfo.value),
             "state": observable_state(interp, tools),
         }

@@ -9,9 +9,11 @@ from repro.exec import (
     TraceCollector,
     run_program,
 )
+from repro.exec.compiled import CompiledInterpreter
 from repro.exec.interpreter import _trunc_div
 from repro.isa.instructions import WORD_SIZE, Opcode
 from repro.lang.compiler import CompilerOptions, compile_source
+from tests.engines import run_each
 
 O0 = CompilerOptions(opt_level=0)
 
@@ -30,14 +32,17 @@ def test_scalar_binding_becomes_one_element_array(simple_source):
 
 def test_run_produces_expected_memory(simple_source, simple_bindings, simple_expected):
     program = compile_source(simple_source, "t", O0)
-    interp = run_program(program, simple_bindings)
+    interp = run_each(program, simple_bindings)
     assert interp.array("out") == simple_expected
+    compiled = run_program(program, simple_bindings)
+    assert type(compiled) is CompiledInterpreter
+    assert compiled.array("out") == simple_expected
 
 
 def test_bindings_are_copied_not_shared(simple_source, simple_bindings):
     program = compile_source(simple_source, "t", O0)
     original = list(simple_bindings["out"])
-    run_program(program, simple_bindings)
+    run_each(program, simple_bindings)
     assert simple_bindings["out"] == original
 
 
@@ -56,7 +61,7 @@ def test_unknown_binding_rejected():
 def test_out_of_bounds_load_reports_context():
     program = compile_source("int a[]; int out[]; void kernel() { out[0] = a[5]; }", "t", O0)
     with pytest.raises(InterpreterError, match="out of bounds"):
-        run_program(program, {"a": [1, 2], "out": [0]})
+        run_each(program, {"a": [1, 2], "out": [0]})
 
 
 def test_negative_index_rejected():
@@ -64,18 +69,18 @@ def test_negative_index_rejected():
         "int i; int a[]; int out[]; void kernel() { out[0] = a[i]; }", "t", O0
     )
     with pytest.raises(InterpreterError, match="out of bounds"):
-        run_program(program, {"i": -1, "a": [1], "out": [0]})
+        run_each(program, {"i": -1, "a": [1], "out": [0]})
 
 
 def test_budget_exceeded_on_infinite_loop():
     program = compile_source("void kernel() { while (1) { } }", "t", O0)
     with pytest.raises(BudgetExceeded):
-        run_program(program, {}, max_instructions=1000)
+        run_each(program, {}, max_instructions=1000)
 
 
 def test_executed_counts_dynamic_instructions(simple_source, simple_bindings):
     program = compile_source(simple_source, "t", O0)
-    interp = run_program(program, simple_bindings)
+    interp = run_each(program, simple_bindings)
     assert interp.executed > 0
 
 
@@ -131,12 +136,12 @@ def test_use_before_def_raises():
         "int out[]; void kernel() { int x; out[0] = x; }", "t", O0
     )
     with pytest.raises(InterpreterError, match="undefined register"):
-        run_program(program, {"out": [0]})
+        run_each(program, {"out": [0]})
 
 
 def test_rerun_requires_fresh_interpreter(simple_source, simple_bindings):
     # Two interpreters over the same program are independent.
     program = compile_source(simple_source, "t", O0)
-    first = run_program(program, simple_bindings)
-    second = run_program(program, simple_bindings)
+    first = run_each(program, simple_bindings)
+    second = run_each(program, simple_bindings)
     assert first.array("out") == second.array("out")

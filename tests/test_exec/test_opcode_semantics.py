@@ -1,19 +1,20 @@
 """Opcode-level semantics via MiniC programs, including the float
 pipeline, conversions, and conditional moves at both optimization
-levels (so the interpreter's CMOV/FCMOV paths are exercised)."""
+levels (so the interpreter's CMOV/FCMOV paths are exercised).  Every
+program runs on both engines, which must agree."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exec import run_program
 from repro.lang.compiler import CompilerOptions, compile_source
+from tests.engines import run_each
 
 O0 = CompilerOptions(opt_level=0)
 O2 = CompilerOptions(opt_level=2)
 
 
 def run(src, bindings, options=O0):
-    return run_program(compile_source(src, "t", options), bindings)
+    return run_each(compile_source(src, "t", options), bindings)
 
 
 def test_float_division_and_negation():
@@ -75,8 +76,8 @@ void kernel() {
 """
     program = compile_source(src, "t", O2)
     assert any(i.opcode.name == "FCMOV" for i in program.all_instructions())
-    assert run_program(program, {"a": [1.0, 9.0], "out": [0.0]}).array("out") == [9.0]
-    assert run_program(program, {"a": [5.0, 2.0], "out": [0.0]}).array("out") == [5.0]
+    assert run_each(program, {"a": [1.0, 9.0], "out": [0.0]}).array("out") == [9.0]
+    assert run_each(program, {"a": [5.0, 2.0], "out": [0.0]}).array("out") == [5.0]
 
 
 def test_shift_by_register_value():

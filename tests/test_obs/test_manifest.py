@@ -2,7 +2,6 @@
 
 from repro.api import Session
 from repro.core.runcache import workload_fingerprint
-from repro.exec.backends import resolve_backend
 from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     STANDARD_TOOLS,
@@ -39,9 +38,6 @@ def test_run_manifest_contents():
         "scale": "test",
         "seed": 3,
         "max_instructions": 200_000_000,
-        # The recorded engine follows $REPRO_BACKEND (the CI matrix runs
-        # this suite once per backend).
-        "backend": resolve_backend(None),
     }
     assert manifest["tools"] == list(STANDARD_TOOLS)
     assert manifest["timings_s"] == {"interp": 1.5}

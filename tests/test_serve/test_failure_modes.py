@@ -52,7 +52,6 @@ class StubSession:
         self.scale = "test"
         self.seed = 0
         self.jobs = 1
-        self.backend = "compiled"
         self._evaluate = evaluate
 
     def memoized(self, *_args, **_kwargs):
