@@ -30,16 +30,19 @@ analysis of a workload records a :class:`repro.trace.TraceArtifact`
 (one instrumented compiled run, banked in the run cache), and every
 subsequent analysis — any set of tools from the
 :mod:`repro.atom.registry` — replays the stored trace without
-re-executing the program, bit-identical to direct execution.
+re-executing the program, bit-identical to direct execution.  Each
+tool's payload is memoized too, so a repeated analysis replays
+nothing and a new tool set replays only the tools it adds.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.atom.registry import ToolSpec, tool_specs
 from repro.atom.runner import CharacterizationResult
 from repro.core import parallel
 from repro.core.pipeline import EvaluationResult
@@ -98,13 +101,15 @@ class RunConfig:
 class AnalyzeResult:
     """One :meth:`Session.analyze` answer.
 
-    ``tools`` maps registry names to the tool instances holding the
-    analysis state; ``payloads`` maps the same names to their
-    JSON-friendly payloads (:func:`repro.atom.registry.payloads`).
-    ``source`` says where the trace came from (``memo``/``cache``/
-    ``record``); ``replayed`` is False only when the run was not
+    ``payloads`` maps the requested registry names, in request order,
+    to their JSON-friendly payloads (:func:`repro.atom.registry.payloads`).
+    ``source`` says where the trace came from (``record``/``cache``/
+    ``memo``; ``memo`` also when every payload was memoized and no trace
+    was needed); ``replayed`` is False only when the run was not
     traceable (budget-crossing or raising runs) and the tools were fed
     by direct execution instead — the results are identical either way.
+    ``tools`` may map the same names to live tool instances; a
+    :class:`Session` never fills it, because it keeps payloads only.
     """
 
     workload: str
@@ -114,8 +119,38 @@ class AnalyzeResult:
     executed: int
     source: str
     replayed: bool
-    tools: Dict[str, object]
     payloads: Dict[str, object]
+    tools: Dict[str, object] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Analysis:
+    """The memoized analysis answers of one (workload, scale, seed):
+    the payload of every tool fed so far, keyed by its registered
+    :class:`~repro.atom.registry.ToolSpec` (a tool re-registered under
+    the same name is a different key).  Published whole and never
+    mutated afterwards, so other threads may read it while the session
+    replaces it."""
+
+    fingerprint: str
+    executed: int
+    replayed: bool
+    payloads: Mapping[ToolSpec, dict]
+
+    def answer(
+        self, key: Tuple[str, str, int], specs: Mapping[str, ToolSpec], source: str
+    ) -> AnalyzeResult:
+        name, scale, seed = key
+        return AnalyzeResult(
+            workload=name,
+            scale=scale,
+            seed=seed,
+            fingerprint=self.fingerprint,
+            executed=self.executed,
+            source=source,
+            replayed=self.replayed,
+            payloads={tool: self.payloads[spec] for tool, spec in specs.items()},
+        )
 
 
 class Session:
@@ -137,6 +172,7 @@ class Session:
         self._runs: Dict[Tuple[str, str, int], CharacterizationResult] = {}
         self._fingerprints: Dict[Tuple[str, str, int], str] = {}
         self._traces: Dict[Tuple[str, str, int], object] = {}
+        self._analyses: Dict[Tuple[str, str, int], _Analysis] = {}
         self._evaluations: Dict[Tuple[str, str, str, int], EvaluationResult] = {}
         self._runner = parallel.ParallelRunner(jobs=self.jobs)
         self._cache = None
@@ -217,6 +253,29 @@ class Session:
             self._evaluation_key(workload, platform, scale, seed)
         )
 
+    def memoized_analysis(
+        self,
+        name: str,
+        tools: Optional[Sequence[str]] = None,
+        scale: Optional[str] = None,
+        seed: Optional[int] = None,
+    ) -> Optional[AnalyzeResult]:
+        """The :meth:`analyze` answer when every one of ``tools`` is
+        memoized, or None — memo only: no replay, recording or
+        fingerprint.  The request server's fast path for analyze
+        requests.  Unknown tool names raise ``KeyError``, as in
+        :meth:`analyze`."""
+        specs = tool_specs(tools)
+        key = (
+            name,
+            self.scale if scale is None else scale,
+            self.seed if seed is None else seed,
+        )
+        entry = self._analyses.get(key)
+        if entry is None or any(s not in entry.payloads for s in specs.values()):
+            return None
+        return entry.answer(key, specs, "memo")
+
     def _evaluation_key(self, workload, platform, scale, seed):
         return (
             workload,
@@ -283,77 +342,98 @@ class Session:
         engine's record mode and banks it in the run cache; after
         that any tool set is answered at replay speed, bit-identical
         to a direct run.  Unknown tool names raise ``KeyError``.
-        """
-        from repro.atom.registry import payloads as tool_payloads
-        from repro.atom.registry import resolve_tools
-        from repro.exec.compiled import CompiledInterpreter
-        from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
-        from repro.trace import TraceStore, record_trace, replay_tools
-        from repro.trace import trace_fingerprint as _trace_fp
 
-        spec = get_workload(name)  # KeyError for unknown workloads first
-        resolved = resolve_tools(tools)  # then for unknown tool names
+        Each tool's payload is memoized per ``(workload, scale, seed)``:
+        a repeat replays nothing, and a tool set that partly overlaps
+        earlier ones feeds only the tools it adds.  The payload values
+        are shared with the memo, as :meth:`run`'s results are; treat
+        them as read-only.  A call that raises memoizes nothing.
+        """
+        workload = get_workload(name)  # KeyError for unknown workloads first
+        specs = tool_specs(tools)  # then for unknown tool names
         scale = self.scale if scale is None else scale
         seed = self.seed if seed is None else seed
         memo_key = (name, scale, seed)
         with obs.span(
             "session.analyze", workload=name, scale=scale, seed=seed,
-            tools=",".join(resolved),
+            tools=",".join(specs),
         ) as span:
-            fingerprint = _trace_fp(name, scale, seed)
-            store = (
-                TraceStore(self._cache) if self._cache is not None else None
-            )
+            entry = self._analyses.get(memo_key)
+            missing = {
+                tool: tool_spec
+                for tool, tool_spec in specs.items()
+                if entry is None or tool_spec not in entry.payloads
+            }
             source = "memo"
-            artifact = self._traces.get(memo_key)
-            if artifact is None and store is not None:
-                artifact = store.load(fingerprint)
-                if artifact is not None:
-                    source = "cache"
-            program = spec.program()
-            if artifact is None:
-                source = "record"
-                artifact = record_trace(
-                    program,
-                    spec.dataset(scale, seed),
-                    max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-                    code_key=fingerprint,
-                    workload=name,
-                    scale=scale,
-                    seed=seed,
-                )
-                if artifact is not None and store is not None:
-                    store.store(fingerprint, artifact)
-            replayed = artifact is not None
-            if replayed:
-                self._traces[memo_key] = artifact
-                executed = replay_tools(artifact, program, resolved)
-            else:
-                # Not traceable (budget-crossing or raising run): feed
-                # the same tools by direct execution — identical tool
-                # state, identical budget/error semantics, no artifact.
-                source = "direct"
-                interp = CompiledInterpreter(
-                    program,
-                    spec.dataset(scale, seed),
-                    DEFAULT_MAX_INSTRUCTIONS,
-                    code_key=fingerprint,
-                )
-                interp.run(consumers=tuple(resolved.values()))
-                executed = interp.executed
-            span.set_attr(source=source, instructions=executed)
+            if missing:
+                entry, source = self._feed(workload, memo_key, missing)
+            span.set_attr(
+                source=source, instructions=entry.executed,
+                tools_run=len(missing),
+            )
             obs.metrics().counter(f"session.analyze.{source}").inc()
-            return AnalyzeResult(
+            return entry.answer(memo_key, specs, source)
+
+    def _feed(
+        self, workload, memo_key: Tuple[str, str, int], specs: Mapping[str, ToolSpec]
+    ) -> Tuple[_Analysis, str]:
+        """Feed fresh instances of ``specs`` from ``workload``'s trace
+        (recorded on first touch) and publish the memo entry merged
+        with their payloads; returns the entry and the trace's source."""
+        from repro.exec.compiled import CompiledInterpreter
+        from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
+        from repro.trace import TraceStore, record_trace, replay_tools
+        from repro.trace import trace_fingerprint as _trace_fp
+
+        name, scale, seed = memo_key
+        fingerprint = _trace_fp(name, scale, seed)
+        store = TraceStore(self._cache) if self._cache is not None else None
+        source = "memo"
+        artifact = self._traces.get(memo_key)
+        if artifact is None and store is not None:
+            artifact = store.load(fingerprint)
+            if artifact is not None:
+                source = "cache"
+        program = workload.program()
+        if artifact is None:
+            source = "record"
+            artifact = record_trace(
+                program,
+                workload.dataset(scale, seed),
+                max_instructions=DEFAULT_MAX_INSTRUCTIONS,
+                code_key=fingerprint,
                 workload=name,
                 scale=scale,
                 seed=seed,
-                fingerprint=fingerprint,
-                executed=executed,
-                source=source,
-                replayed=replayed,
-                tools=dict(resolved),
-                payloads=tool_payloads(resolved),
             )
+            if artifact is not None and store is not None:
+                store.store(fingerprint, artifact)
+        tools = {tool: tool_spec.factory() for tool, tool_spec in specs.items()}
+        replayed = artifact is not None
+        if replayed:
+            executed = replay_tools(artifact, program, tools)
+            self._traces[memo_key] = artifact
+        else:
+            # Not traceable (budget-crossing or raising run): feed
+            # the same tools by direct execution — identical tool
+            # state, identical budget/error semantics, no artifact.
+            source = "direct"
+            interp = CompiledInterpreter(
+                program,
+                workload.dataset(scale, seed),
+                DEFAULT_MAX_INSTRUCTIONS,
+                code_key=fingerprint,
+            )
+            interp.run(consumers=tuple(tools.values()))
+            executed = interp.executed
+        current = self._analyses.get(memo_key)
+        payloads = dict(current.payloads) if current is not None else {}
+        for tool, tool_spec in specs.items():
+            payloads[tool_spec] = tool_spec.payload(tools[tool])
+        entry = _Analysis(fingerprint, executed, replayed, payloads)
+        # Copy-on-write: one assignment publishes the complete entry.
+        self._analyses[memo_key] = entry
+        return entry, source
 
     def prefetch(self, names: Optional[List[str]] = None) -> None:
         """Materialize runs for ``names`` (default: every workload).

@@ -38,6 +38,7 @@ __all__ = [
     "resolve_tools",
     "tool_names",
     "tool_payload",
+    "tool_specs",
 ]
 
 
@@ -97,8 +98,8 @@ def get_tool(name: str) -> ToolSpec:
     return spec
 
 
-def resolve_tools(names: Optional[Sequence[str]] = None) -> Dict[str, object]:
-    """Instantiate one tool per name, preserving request order.
+def tool_specs(names: Optional[Sequence[str]] = None) -> Dict[str, ToolSpec]:
+    """The registered spec of each name, preserving request order.
 
     ``None`` means the standard characterization set.  Duplicate names
     raise (two instances of one tool in a single analysis would
@@ -106,12 +107,18 @@ def resolve_tools(names: Optional[Sequence[str]] = None) -> Dict[str, object]:
     """
     if names is None:
         names = STANDARD_TOOLS
-    tools: Dict[str, object] = {}
+    specs: Dict[str, ToolSpec] = {}
     for name in names:
-        if name in tools:
+        if name in specs:
             raise KeyError(f"duplicate analysis tool {name!r}")
-        tools[name] = get_tool(name).factory()
-    return tools
+        specs[name] = get_tool(name)
+    return specs
+
+
+def resolve_tools(names: Optional[Sequence[str]] = None) -> Dict[str, object]:
+    """Instantiate one tool per name, with :func:`tool_specs`' order
+    and checks."""
+    return {name: spec.factory() for name, spec in tool_specs(names).items()}
 
 
 def tool_payload(name: str, tool: object) -> dict:

@@ -15,13 +15,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.atom.runner import LoadProfileRow, characterize
-from repro.core import candidates as candidates_mod
-from repro.core.pipeline import EvaluationResult, evaluate_workload, harmonic_mean_speedup
+from repro.atom.runner import LoadProfileRow
+from repro.core.pipeline import harmonic_mean_speedup
 from repro.core.reporting import format_table, pct
 from repro.cpu.platforms import PLATFORMS, PlatformConfig
 from repro.workloads.registry import (
-    WorkloadSpec,
     all_workloads,
     amenable_workloads,
     get_workload,

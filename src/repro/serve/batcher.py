@@ -4,10 +4,11 @@ The batcher is the only component that talks to the engine, and it
 talks to it through exactly one door: the :class:`repro.api.Session`
 facade.  Two mechanisms keep repeat requests off the engine:
 
-* **memo fast path** — a characterize or evaluate request whose result
-  the session has already materialized is answered synchronously in
-  the submitting thread, never touching the queue
-  (``serve.fast_path`` counter);
+* **memo fast path** — a characterize, evaluate or analyze request
+  whose result the session has already materialized (for analyze:
+  every requested tool's payload) is answered synchronously in the
+  submitting thread, never touching the queue (``serve.fast_path``
+  counter);
 * **single-flight** — concurrent requests for the same run (keyed by
   the run-cache ``workload_fingerprint``, the one source of run
   identity) share one in-flight computation: followers attach a waiter
@@ -24,8 +25,9 @@ its own request.
 
 Deadlines are checked when a request resolves: a request whose
 deadline has passed gets a ``deadline_exceeded`` error even when the
-run itself succeeded — a characterize or evaluate result still lands
-in the session memo, so the client's retry is a fast-path hit.
+run itself succeeded — a characterize, evaluate or analyze result
+still lands in the session memo, so the client's retry is a fast-path
+hit.
 A request that expires while queued is never run.
 
 A run that fails (its task raised, or its worker died) resolves its
@@ -227,8 +229,9 @@ class Batcher:
     def _memo_payload(
         self, request: protocol.ServiceRequest
     ) -> Optional[Dict[str, Any]]:
-        """The payload of a characterize or evaluate request the session
-        has already materialized, or None (memo only, no engine work)."""
+        """The payload of a characterize, evaluate or analyze request the
+        session has already materialized, or None (memo only, no engine
+        work)."""
         session = self._session
         if request.kind == "characterize":
             run = session.memoized(request.workload, request.scale, request.seed)
@@ -240,6 +243,12 @@ class Batcher:
             )
             if evaluation is not None:
                 return protocol.evaluation_payload(evaluation)
+        elif request.kind == "analyze":
+            analysis = session.memoized_analysis(
+                request.workload, request.tools, request.scale, request.seed
+            )
+            if analysis is not None:
+                return protocol.analyze_payload(analysis)
         return None
 
     def _key(self, request: protocol.ServiceRequest) -> str:
@@ -356,9 +365,8 @@ class Batcher:
 
     def _call_session(self, request: protocol.ServiceRequest) -> Dict[str, Any]:
         """The session call a request kind maps to, as its canonical
-        payload.  An analyze result lands in the session's trace store,
-        so the retry after a deadline miss replays the stored trace
-        instead of re-executing."""
+        payload.  An analyze answer lands in the session's memo, so the
+        retry after a deadline miss is a fast-path hit."""
         session = self._session
         if request.kind == "characterize":
             result = session.run(

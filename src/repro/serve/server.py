@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import time
 from typing import Any, Dict, Optional, Tuple
 
@@ -529,8 +530,15 @@ def main_loop(
     executor (their access-log records land), then ``service.close()``
     flushes the access log, detaches the flight recorder, and tears
     down the worker pool.
+
+    The GIL switch interval drops from 5 ms to 0.5 ms at any
+    ``--jobs``: analyze and single-cell evaluate requests (and, at
+    ``--jobs 1``, every engine run) execute in this process, and a memo
+    hit arriving mid-run would otherwise wait out the interval.
     """
     import signal
+
+    sys.setswitchinterval(0.0005)
 
     async def _serve_until_sigterm() -> None:
         asyncio.get_running_loop().add_signal_handler(

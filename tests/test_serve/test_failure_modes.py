@@ -60,6 +60,9 @@ class StubSession:
     def memoized_evaluation(self, *_args, **_kwargs):
         return None
 
+    def memoized_analysis(self, *_args, **_kwargs):
+        return None
+
     def fingerprint(self, name, scale, seed):
         return f"stub-{name}-{scale}-{seed}"
 

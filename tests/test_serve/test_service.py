@@ -213,14 +213,19 @@ class TestRoutesAndRegistry:
         assert result["workload"] == "fasta"
         assert set(result["tools"]) == {"mix", "branch"}
         assert result["source"] in ("record", "memo", "cache", "direct")
-        # A repeat answers from the session's trace memo with an
-        # identical digest: replay and record agree byte for byte.
+        # A repeat is a memo fast-path hit with an identical digest.
+        before = client.metrics()[1]["metrics"]
         status, again = client.analyze("fasta", tools=["mix", "branch"],
                                        scale="test")
+        after = client.metrics()[1]["metrics"]
         assert status == 200
+        assert again["cached"] is True
         assert again["result"]["digest"] == result["digest"]
         assert again["result"]["source"] == "memo"
         assert again["result"]["replayed"] is True
+        assert (
+            after["serve.fast_path"] - before.get("serve.fast_path", 0) == 1
+        )
 
     def test_analyze_rejects_unknown_tool(self, client):
         status, body = client.analyze("fasta", tools=["nope"])

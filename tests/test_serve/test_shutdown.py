@@ -3,7 +3,9 @@
 Each case runs the real CLI in a subprocess with an access log, sends
 SIGTERM, and requires exit status 0 within 10 s plus an access-log
 record for every request the server answered: once while idle, once
-with a first-touch characterize still running in the engine.
+with a first-touch characterize still running in the engine.  One
+in-process case checks what ``main_loop`` sets up before serving and
+that it closes the service on the way out.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import subprocess
 import sys
 import threading
 import time
+
+import pytest
 
 from repro.obs.accesslog import read_access_jsonl
 
@@ -139,3 +143,31 @@ def test_sigterm_with_a_characterize_in_flight(tmp_path):
     logged = _logged_ids(log_path)
     for request_id, _status in answered:
         assert request_id in logged
+
+
+def test_main_loop_shortens_the_switch_interval(monkeypatch):
+    """A memo hit must not wait out the default 5 ms GIL switch
+    interval behind an engine run in the serving process."""
+    import asyncio
+
+    from repro.serve import server
+
+    seen = []
+    closed = []
+
+    def fake_run(coro):
+        seen.append(sys.getswitchinterval())
+        coro.close()
+
+    class StubService:
+        def close(self):
+            closed.append(True)
+
+    monkeypatch.setattr(asyncio, "run", fake_run)
+    previous = sys.getswitchinterval()
+    try:
+        server.main_loop(StubService(), "127.0.0.1", 0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert seen == [pytest.approx(0.0005)]
+    assert closed == [True]
