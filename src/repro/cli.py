@@ -465,13 +465,15 @@ def _cmd_disasm(args) -> None:
 def _cmd_report(args) -> None:
     from repro.core.parallel import default_jobs
     from repro.core.report import generate
-    from repro.core.runcache import RunCache
 
-    use_cache = getattr(args, "use_cache", True)  # report caches by default
-    cache = RunCache(getattr(args, "cache_dir", None)) if use_cache else None
     jobs = getattr(args, "jobs", 1)
-    jobs = default_jobs() if jobs == 0 else jobs
-    text = generate(args.char_scale, args.eval_scale, jobs=jobs, cache=cache)
+    text = generate(
+        args.char_scale,
+        args.eval_scale,
+        jobs=default_jobs() if jobs == 0 else jobs,
+        cache=getattr(args, "use_cache", True),  # report caches by default
+        cache_dir=getattr(args, "cache_dir", None),
+    )
     with open(args.out, "w") as handle:
         handle.write(text)
     print(f"wrote {args.out}")

@@ -1,12 +1,12 @@
 """One entry point per paper table and figure.
 
-Every function returns structured rows (and can render itself through
-:mod:`repro.core.reporting`); the benchmark harness under
-``benchmarks/`` simply calls these and prints the result next to the
-paper's published numbers.  The characterization-driven functions take
-a :class:`repro.api.Session`, which memoizes the single run each
-workload needs, so producing all of Figure 1 / Tables 1-5 costs one
-pass per program, exactly like the paper's single ATOM profile run.
+Every function returns structured rows; :mod:`repro.core.report`
+collects them once, renders them next to the paper's published numbers
+and judges them against the claims ledger (:mod:`repro.core.claims`).
+The characterization-driven functions take a
+:class:`repro.api.Session`, which memoizes the single run each workload
+needs, so producing all of Figure 1 / Tables 1-5 costs one pass per
+program, exactly like the paper's single ATOM profile run.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.atom.reuse import ReuseSummary
 from repro.atom.runner import LoadProfileRow
-from repro.core.pipeline import harmonic_mean_speedup
+from repro.core.pipeline import harmonic_mean_speedup, run_timed
 from repro.core.reporting import format_table, pct
 from repro.cpu.platforms import PLATFORMS, PlatformConfig
 from repro.workloads.registry import (
@@ -69,25 +70,6 @@ def figure1_instruction_mix(context: "Session") -> List[MixRow]:
     return rows
 
 
-def render_figure1(rows: List[MixRow]) -> str:
-    return format_table(
-        ["program", "loads", "stores", "cond br", "other"],
-        [[r.workload, pct(r.loads), pct(r.stores), pct(r.branches), pct(r.other)] for r in rows],
-        title="Figure 1: instruction profile",
-    )
-
-
-def render_table1(rows: List[MixRow]) -> str:
-    return format_table(
-        ["program", "instructions", "FP (measured)", "FP (paper)"],
-        [
-            [r.workload, r.instructions, pct(r.fp_fraction, 2), pct(r.paper_fp_fraction, 2)]
-            for r in rows
-        ],
-        title="Table 1: executed instructions and floating-point share",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Figure 2
 # ---------------------------------------------------------------------------
@@ -127,17 +109,6 @@ def figure2_coverage(
     return rows
 
 
-def render_figure2(rows: List[CoverageRow]) -> str:
-    return format_table(
-        ["program", "suite", "static loads", "coverage@80", "loads for 90%"],
-        [
-            [r.workload, r.suite, r.static_loads, pct(r.coverage_at_80), r.loads_for_90pct]
-            for r in rows
-        ],
-        title="Figure 2: cumulative frequency of executed loads vs static loads",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Table 2
 # ---------------------------------------------------------------------------
@@ -170,23 +141,31 @@ def table2_cache(context: "Session") -> List[CacheRow]:
     return rows
 
 
-def render_table2(rows: List[CacheRow]) -> str:
-    averages = [
-        "average",
-        pct(sum(r.l1_local for r in rows) / len(rows), 2),
-        pct(sum(r.l2_local for r in rows) / len(rows), 2),
-        pct(sum(r.overall for r in rows) / len(rows), 3),
-        f"{sum(r.amat for r in rows) / len(rows):.2f}",
-    ]
-    body = [
-        [r.workload, pct(r.l1_local, 2), pct(r.l2_local, 2), pct(r.overall, 3), f"{r.amat:.2f}"]
-        for r in rows
-    ]
-    return format_table(
-        ["program", "L1 local", "L2 local", "overall", "AMAT"],
-        body + [averages],
-        title="Table 2: cache performance (Table 3 configuration)",
-    )
+# ---------------------------------------------------------------------------
+# Section 2.1: reuse distances
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class ReuseRow:
+    workload: str
+    summary: ReuseSummary
+
+
+def section21_reuse(context: "Session") -> List[ReuseRow]:
+    """Section 2.1's "chunking" claim: the LRU reuse distances of the
+    nine programs, from the ``reuse`` analysis of each one's trace."""
+    rows = []
+    for spec in all_workloads():
+        payload = context.analyze(spec.name, tools=["reuse"]).payloads["reuse"]
+        summary = ReuseSummary(
+            **{
+                name: payload[name]
+                for name in ("accesses", "cold", "within_l1", "far", "median", "p90")
+            }
+        )
+        rows.append(ReuseRow(workload=spec.name, summary=summary))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -222,33 +201,6 @@ def table4_sequences(context: "Session") -> List[SequenceRow]:
             )
         )
     return rows
-
-
-def render_table4(rows: List[SequenceRow]) -> str:
-    return format_table(
-        [
-            "program",
-            "ld->br",
-            "(paper)",
-            "br misp",
-            "(paper)",
-            "after hard br",
-            "(paper)",
-        ],
-        [
-            [
-                r.workload,
-                pct(r.load_to_branch),
-                pct(r.paper_load_to_branch),
-                pct(r.seq_misprediction),
-                pct(r.paper_seq_misprediction),
-                pct(r.after_hard_branch),
-                pct(r.paper_after_hard),
-            ]
-            for r in rows
-        ],
-        title="Table 4: load->branch sequences and loads after hard branches",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,35 +268,6 @@ def ldbp_reclamation(context: "Session") -> List[LdbpRow]:
     return rows
 
 
-def render_ldbp(rows: List[LdbpRow]) -> str:
-    return format_table(
-        [
-            "program",
-            "hard br",
-            "reclaimed",
-            "fraction",
-            "misp cut",
-            "base misp",
-            "ldbp misp",
-            "coverage",
-        ],
-        [
-            [
-                r.workload,
-                r.hard_branches,
-                r.reclaimed_branches,
-                pct(r.reclaimed_fraction),
-                pct(r.misprediction_reduction),
-                pct(r.baseline_rate, 2),
-                pct(r.ldbp_rate, 2),
-                pct(r.precompute_coverage),
-            ]
-            for r in rows
-        ],
-        title="LDBP reclamation of the hard-to-predict branch population",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Table 5
 # ---------------------------------------------------------------------------
@@ -355,26 +278,6 @@ def table5_load_profile(
 ) -> List[LoadProfileRow]:
     """Table 5: per-load profile of the hottest loads of one program."""
     return context.run(workload).load_profile(top=top)
-
-
-def render_table5(rows: List[LoadProfileRow], workload: str = "hmmsearch") -> str:
-    spec = get_workload(workload)
-    return format_table(
-        ["load sid", "frequency", "L1 miss", "br mispredict", "line", "in function", "in file"],
-        [
-            [
-                r.sid,
-                pct(r.frequency, 2),
-                pct(r.l1_miss_rate, 2),
-                pct(r.branch_misprediction_rate, 2),
-                r.line,
-                spec.hot_function,
-                spec.hot_file,
-            ]
-            for r in rows
-        ],
-        title=f"Table 5: profile of the frequently executed loads in {workload}",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +311,6 @@ def table6_transforms() -> List[TransformRow]:
     return rows
 
 
-def render_table6(rows: List[TransformRow]) -> str:
-    return format_table(
-        ["program", "static loads", "(paper)", "lines of C", "(paper)"],
-        [
-            [r.workload, r.loads_considered, r.paper_loads, r.loc_involved, r.paper_loc]
-            for r in rows
-        ],
-        title="Table 6: static loads and source lines involved in the transformation",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Table 7 (configuration only)
 # ---------------------------------------------------------------------------
@@ -427,27 +319,6 @@ def render_table6(rows: List[TransformRow]) -> str:
 def table7_platforms() -> List[PlatformConfig]:
     """Table 7: the four evaluation platforms."""
     return [PLATFORMS[key] for key in ("alpha", "powerpc", "pentium4", "itanium")]
-
-
-def render_table7(platforms: List[PlatformConfig]) -> str:
-    return format_table(
-        ["platform", "clock GHz", "width", "window", "misp penalty", "L1 int", "L1 fp", "int regs", "in-order"],
-        [
-            [
-                p.name,
-                p.clock_ghz,
-                p.issue_width,
-                p.window,
-                p.mispredict_penalty,
-                p.l1_hit_int,
-                p.l1_hit_fp,
-                p.int_registers,
-                "yes" if p.in_order else "no",
-            ]
-            for p in platforms
-        ],
-        title="Table 7: evaluation platforms",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -666,3 +537,40 @@ def render_figure9(summaries: List[SpeedupSummary]) -> str:
     if failed_total:
         title += f" [{failed_total} cell(s) FAILED — hmean over surviving cells]"
     return format_table(headers, body, title=title)
+
+
+# ---------------------------------------------------------------------------
+# Section 5.1: restrict on the Itanium 2
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class RestrictRow:
+    """hmmsearch on the Itanium 2: the may-alias baseline, the baseline
+    compiled with ``restrict`` semantics, and the load-transformed code."""
+
+    original_cycles: int
+    restrict_cycles: int
+    transformed_cycles: int
+
+    @property
+    def restrict_gain(self) -> float:
+        return self.original_cycles / self.restrict_cycles - 1.0
+
+    @property
+    def manual_gain(self) -> float:
+        return self.original_cycles / self.transformed_cycles - 1.0
+
+
+def section51_restrict(scale: str = "large", seed: int = 0) -> RestrictRow:
+    """Section 5.1: with ``restrict`` the Itanium's compiler hoists the
+    loads itself, so the baseline recovers part of the manual gain."""
+    spec = get_workload("hmmsearch")
+    itanium = PLATFORMS["itanium"]
+    return RestrictRow(
+        original_cycles=run_timed(spec, itanium, False, scale, seed).cycles,
+        restrict_cycles=run_timed(
+            spec, itanium, False, scale, seed, alias_model="restrict"
+        ).cycles,
+        transformed_cycles=run_timed(spec, itanium, True, scale, seed).cycles,
+    )

@@ -1,20 +1,23 @@
 """Full paper-vs-measured report generation (EXPERIMENTS.md).
 
-Runs every experiment and renders a markdown report with the paper's
-published number next to the measured one for each table and figure.
-Used by ``python -m repro.core.report [char_scale] [eval_scale] [out]``
-to regenerate ``EXPERIMENTS.md``.
+:func:`collect` runs every experiment once and returns each table's
+rows, keyed by the table names of the claims ledger
+(:mod:`repro.core.claims`).  :func:`render` turns those rows into
+markdown with the paper's published number next to the measured one,
+and ends each section with the verdicts of its ledger rows.
+``python -m repro report`` regenerates ``EXPERIMENTS.md`` through
+:func:`generate`.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import List, Optional
+from typing import Dict, List
 
+from repro.core import claims
 from repro.core import experiments as E
-from repro.core.pipeline import harmonic_mean_speedup
+from repro.core.candidates import select_candidates
 from repro.core.reporting import pct
-from repro.workloads.registry import all_workloads, amenable_workloads, get_workload
+from repro.workloads.registry import get_workload
 
 
 def _md_table(headers: List[str], rows: List[List[object]]) -> str:
@@ -37,35 +40,88 @@ def generate(
     eval_scale: str = "large",
     seed: int = 0,
     jobs: int = 1,
-    cache=None,
+    cache: bool = False,
+    cache_dir=None,
 ) -> str:
     """Run everything and return the EXPERIMENTS.md markdown.
 
     ``jobs > 1`` fans the independent characterization and evaluation
-    runs over worker processes; ``cache`` (a
-    :class:`repro.core.runcache.RunCache`) persists characterization
-    runs so a regeneration with unchanged inputs skips them entirely.
-    The emitted report is byte-identical either way, and from run to
-    run: its footer names the parameters, not the time taken.  A Table
-    8 cell that fails renders as an annotated FAILED row instead of
-    aborting the whole report.
+    runs over worker processes; ``cache`` persists characterization
+    runs in the run cache (under ``cache_dir``), so a regeneration with
+    unchanged inputs skips them entirely.  The emitted report is
+    byte-identical either way, and from run to run: its footer names
+    the parameters, not the time taken.  A Table 8 cell that fails
+    renders as an annotated FAILED row instead of aborting the whole
+    report.
     """
     from repro.api import RunConfig, Session
 
     config = RunConfig(
-        scale=char_scale, eval_scale=eval_scale, seed=seed, jobs=jobs, cache=False
+        scale=char_scale,
+        eval_scale=eval_scale,
+        seed=seed,
+        jobs=jobs,
+        cache=cache,
+        cache_dir=cache_dir,
     )
     with Session(config) as session:
-        # ``cache`` arrives as a RunCache instance (None = caching off),
-        # so graft it onto the session rather than have it build its own.
-        session._cache = cache
-        return _render(session, char_scale, eval_scale, seed)
+        return render(collect(session), char_scale, eval_scale, seed)
 
 
-def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
-    """Every table and figure of the report, from one open session."""
-    context.prefetch()
+def collect(session) -> Dict[str, object]:
+    """Every table's rows, from one open session, keyed by ledger table.
+
+    Characterization tables run at the session's ``scale``; Table 8,
+    Figure 9 and Section 5.1 at its ``eval_scale``.
+    """
+    session.prefetch()
+    eval_scale, seed = session.config.eval_scale, session.seed
+    mix_rows = E.figure1_instruction_mix(session)
+    runtime_rows = E.table8_runtimes(
+        scale=eval_scale, seed=seed, runner=session.runner()
+    )
+    return {
+        "Figure 1": mix_rows,
+        "Table 1": mix_rows,
+        "Figure 2": E.figure2_coverage(session),
+        "Table 2": E.table2_cache(session),
+        "Section 2.1": E.section21_reuse(session),
+        "Table 4": E.table4_sequences(session),
+        "LDBP": E.ldbp_reclamation(session),
+        "Table 5": E.table5_load_profile(session, "hmmsearch", top=10),
+        "Section 3": select_candidates(session.run("hmmsearch")),
+        "Table 6": E.table6_transforms(),
+        "Table 8": runtime_rows,
+        "Figure 9": E.figure9_speedups(runtime_rows),
+        "Section 5.1": E.section51_restrict(eval_scale, seed),
+    }
+
+
+def _verdicts(rows: Dict[str, object], table: str, scale: str) -> str:
+    """The closing verdict block of one section."""
+    return "Claims:\n\n" + _md_table(
+        ["claim", "paper", "from scale", "verdict"],
+        [
+            [
+                f"`{claim.id}` {claim.text}",
+                claim.paper,
+                f"`{claim.scale}`",
+                claims.verdict(claim, rows[table], scale),
+            ]
+            for claim in claims.CLAIMS
+            if claim.table == table
+        ],
+    )
+
+
+def render(
+    rows: Dict[str, object], char_scale: str, eval_scale: str, seed: int
+) -> str:
+    """The report's markdown, from :func:`collect`'s rows."""
     sections: List[str] = []
+
+    def section(table: str, body: str, scale: str = char_scale) -> None:
+        sections.append(body + "\n\n" + _verdicts(rows, table, scale))
 
     sections.append(
         "# EXPERIMENTS — paper vs. measured\n\n"
@@ -77,12 +133,19 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
         "Absolute instruction counts and cycle counts are simulator\n"
         "quantities at ~10^6 the paper's scale; percentages, rates, and\n"
         "speedups are the comparable numbers.  Regenerate this file with\n"
-        "`python -m repro.core.report`."
+        f"`python -m repro report --char-scale {char_scale} "
+        f"--eval-scale {eval_scale} --no-cache`.\n\n"
+        "Each section ends with its rows of the claims ledger\n"
+        "(`repro.core.claims`, summarized in docs/fidelity.md): the\n"
+        "paper's claim, the smallest scale it holds from, and whether\n"
+        "it holds here.  A divergence row records the direction we\n"
+        "measure where it differs from the paper's."
     )
 
     # -- Figure 1 / Table 1 ------------------------------------------------
-    mix_rows = E.figure1_instruction_mix(context)
-    sections.append(
+    mix_rows = rows["Figure 1"]
+    section(
+        "Figure 1",
         "## Figure 1 — instruction profile\n\n"
         "Paper: loads average ~30% of executed instructions across the\n"
         "nine programs; conditional branches ~10-15%.\n\n"
@@ -94,10 +157,11 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
             ],
         )
         + f"\n\nMeasured load average: "
-        f"{pct(sum(r.loads for r in mix_rows) / len(mix_rows))}."
+        f"{pct(sum(r.loads for r in mix_rows) / len(mix_rows))}.",
     )
 
-    sections.append(
+    section(
+        "Table 1",
         "## Table 1 — executed instructions and floating-point share\n\n"
         "Counts are scaled-down analogues (paper runs 68-894 **billion**\n"
         "instructions); the FP fractions are directly comparable.\n\n"
@@ -111,14 +175,14 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
                     pct(r.fp_fraction, 2),
                     pct(r.paper_fp_fraction, 2),
                 ]
-                for r in mix_rows
+                for r in rows["Table 1"]
             ],
-        )
+        ),
     )
 
     # -- Figure 2 ---------------------------------------------------------------
-    coverage_rows = E.figure2_coverage(context)
-    sections.append(
+    section(
+        "Figure 2",
         "## Figure 2 — cumulative load coverage vs static loads\n\n"
         "Paper: ~80 static loads cover >90% of executed loads in the\n"
         "BioPerf codes but only ~10-58% in SPEC CPU2000 integer codes.\n\n"
@@ -126,25 +190,34 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
             ["program", "suite", "static loads", "coverage @80", "loads for 90%"],
             [
                 [r.workload, r.suite, r.static_loads, pct(r.coverage_at_80), r.loads_for_90pct]
-                for r in coverage_rows
+                for r in rows["Figure 2"]
             ],
-        )
+        ),
     )
 
     # -- Table 2 -----------------------------------------------------------------
-    cache_rows = E.table2_cache(context)
-    paper_t2 = {
-        "blast": (0.0178, 0.0405, 0.00072, 3.14),
-        "clustalw": (0.0190, 0.0000, 0.0, 3.10),
-        "dnapenny": (0.0046, 0.0430, 0.0002, 3.04),
-        "fasta": (0.0047, 0.0005, 0.0, 3.02),
-        "hmmcalibrate": (0.0161, 0.0424, 0.00068, 3.13),
-        "hmmpfam": (0.0067, 0.1064, 0.00071, 3.08),
-        "hmmsearch": (0.0035, 0.0769, 0.00027, 3.04),
-        "predator": (0.0046, 0.0015, 0.00001, 3.02),
-        "promlk": (0.0052, 0.0493, 0.00026, 3.04),
-    }
-    sections.append(
+    cache_rows = rows["Table 2"]
+    papers = [get_workload(r.workload).paper for r in cache_rows]
+    cache_body = [
+        [
+            r.workload,
+            r.l1_local,
+            p.l1_local_miss,
+            r.l2_local,
+            p.l2_local_miss,
+            r.overall,
+            p.overall_miss,
+            r.amat,
+            p.amat,
+        ]
+        for r, p in zip(cache_rows, papers)
+    ]
+    cache_body.append(
+        ["average"]
+        + [sum(column) / len(cache_body) for column in list(zip(*cache_body))[1:]]
+    )
+    section(
+        "Table 2",
         "## Table 2 — cache performance (Table 3 configuration)\n\n"
         "Paper average: L1 local 0.91%, overall 0.03%, AMAT 3.07.  Our\n"
         "L2 local rates run high because at simulator scale nearly every\n"
@@ -152,25 +225,54 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
         "well; the load-bearing claims — L1 satisfies almost everything\n"
         "and AMAT ~= the L1 hit latency — reproduce.\n\n"
         + _md_table(
-            ["program", "L1 local", "paper", "overall", "paper", "AMAT", "paper"],
+            [
+                "program",
+                "L1 local",
+                "paper",
+                "L2 local",
+                "paper",
+                "overall",
+                "paper",
+                "AMAT",
+                "paper",
+            ],
+            [
+                [name]
+                + [pct(rate, 2) for rate in rates[:4]]
+                + [pct(rate, 3) for rate in rates[4:6]]
+                + [f"{amat:.2f}" for amat in rates[6:]]
+                for name, *rates in cache_body
+            ],
+        ),
+    )
+
+    # -- Section 2.1 ---------------------------------------------------------------
+    section(
+        "Section 2.1",
+        "## Section 2.1 — reuse distances behind the low miss rates\n\n"
+        "Paper: the programs \"operate on a chunk of data that fits into\n"
+        "the L1 cache for a period of time before moving on to the next\n"
+        "chunk\".  LRU stack distances in 64-byte blocks, against the\n"
+        "1024-block L1 of the Table 3 configuration.\n\n"
+        + _md_table(
+            ["program", "accesses", "cold", "reuse < L1", "median dist", "p90 dist"],
             [
                 [
                     r.workload,
-                    pct(r.l1_local, 2),
-                    pct(paper_t2[r.workload][0], 2),
-                    pct(r.overall, 3),
-                    pct(paper_t2[r.workload][2], 3),
-                    f"{r.amat:.2f}",
-                    f"{paper_t2[r.workload][3]:.2f}",
+                    r.summary.accesses,
+                    pct(r.summary.cold_fraction, 2),
+                    pct(r.summary.within_l1_fraction),
+                    r.summary.median,
+                    r.summary.p90,
                 ]
-                for r in cache_rows
+                for r in rows["Section 2.1"]
             ],
-        )
+        ),
     )
 
     # -- Table 4 --------------------------------------------------------------------
-    seq_rows = E.table4_sequences(context)
-    sections.append(
+    section(
+        "Table 4",
         "## Table 4 — load→branch and branch→load sequences\n\n"
         "Paper's key ordering: the HMMER codes (and blast) are dominated\n"
         "by load→branch sequences with ~6-20% misprediction on the fed\n"
@@ -195,14 +297,19 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
                     pct(r.after_hard_branch),
                     pct(r.paper_after_hard),
                 ]
-                for r in seq_rows
+                for r in rows["Table 4"]
             ],
-        )
+        ),
     )
 
     # -- Table 4 follow-up: LDBP reclamation ---------------------------------------
-    ldbp_rows = E.ldbp_reclamation(context)
-    sections.append(
+    ldbp_rows = rows["LDBP"]
+    hard = sum(r.hard_branches for r in ldbp_rows)
+    reclaimed = sum(r.reclaimed_branches for r in ldbp_rows)
+    base_misp = sum(r.baseline_mispredictions for r in ldbp_rows)
+    ldbp_misp = sum(r.ldbp_mispredictions for r in ldbp_rows)
+    section(
+        "LDBP",
         "## LDBP — reclaiming the hard-to-predict branch population\n\n"
         "Table 4 characterizes the problem; a load-driven branch\n"
         "predictor (arXiv:2009.09064) is the acceleration it points at.\n"
@@ -232,12 +339,15 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
                 for r in ldbp_rows
             ],
         )
+        + f"\n\nAll programs: {reclaimed} of {hard} hard branches reclaimed "
+        f"({pct(reclaimed / hard if hard else 0.0)}); mispredictions on the\n"
+        f"hard population cut {pct(1.0 - ldbp_misp / base_misp if base_misp else 0.0)}.",
     )
 
     # -- Table 5 -------------------------------------------------------------------
-    profile_rows = E.table5_load_profile(context, "hmmsearch", top=8)
     spec5 = get_workload("hmmsearch")
-    sections.append(
+    section(
+        "Table 5",
         "## Table 5 — hot-load profile of hmmsearch\n\n"
         "Paper: four loads at ~3.97% of executed loads each, L1 miss\n"
         "rates ≤0.07%, following-branch misprediction 0.5-38%, all in\n"
@@ -254,14 +364,37 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
                     spec5.hot_function,
                     spec5.hot_file,
                 ]
-                for row in profile_rows
+                for row in rows["Table 5"]
             ],
-        )
+        ),
+    )
+
+    # -- Section 3 -----------------------------------------------------------------
+    section(
+        "Section 3",
+        "## Section 3 — load-scheduling candidates in hmmsearch\n\n"
+        "The paper's selection turns the Table 5 profile into the\n"
+        "Table 6 transformation: frequently executed loads (≥1% of\n"
+        "loads) that feed a ≥5%-misprediction branch or follow one.\n\n"
+        + _md_table(
+            ["line", "array", "frequency", "L1 miss", "fed-br misp", "follows hard br"],
+            [
+                [
+                    c.line,
+                    c.array,
+                    pct(c.frequency, 2),
+                    pct(c.l1_miss_rate, 2),
+                    pct(c.feed_misprediction_rate, 2),
+                    "yes" if c.follows_hard_branch else "no",
+                ]
+                for c in rows["Section 3"]
+            ],
+        ),
     )
 
     # -- Table 6 ---------------------------------------------------------------------
-    transform_rows = E.table6_transforms()
-    sections.append(
+    section(
+        "Table 6",
         "## Table 6 — transformation footprint\n\n"
         "Our counts are source-diff derived (the paper's are hand\n"
         "counts), so they run larger for the HMMER 6(c) rewrite with its\n"
@@ -271,19 +404,16 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
             ["program", "static loads", "paper", "lines of C", "paper"],
             [
                 [r.workload, r.loads_considered, r.paper_loads, r.loc_involved, r.paper_loc]
-                for r in transform_rows
+                for r in rows["Table 6"]
             ],
-        )
+        ),
     )
 
     # -- Tables 7, 8 / Figure 9 --------------------------------------------------------
     from repro.core.parallel import FailedCell
     from repro.cpu.platforms import PLATFORMS
 
-    runtime_rows = E.table8_runtimes(
-        scale=eval_scale, seed=seed, runner=context.runner()
-    )
-    summaries = E.figure9_speedups(runtime_rows)
+    runtime_rows = rows["Table 8"]
     failed_cells = sum(1 for r in runtime_rows if isinstance(r, FailedCell))
     t8_note = ""
     if failed_cells:
@@ -308,7 +438,8 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
                 pct(r.paper_speedup),
             ]
         )
-    sections.append(
+    section(
+        "Table 8",
         "## Table 8 — original vs load-transformed runtimes\n\n"
         "The paper reports seconds on real machines; we report simulated\n"
         "cycles on the Table 7 machine models, so the comparable numbers\n"
@@ -317,15 +448,18 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
             ["program", "platform", "orig cycles", "xform cycles", "speedup", "paper speedup"],
             t8_body,
         )
-        + t8_note
+        + t8_note,
+        eval_scale,
     )
 
+    summaries = rows["Figure 9"]
     workloads = []
     for s in summaries:
         for w in s.per_workload:
             if w not in workloads:
                 workloads.append(w)
-    sections.append(
+    section(
+        "Figure 9",
         "## Figure 9 — speedups and harmonic means\n\n"
         "Paper harmonic means: Alpha 25.4%, PowerPC 15.1%, Pentium 4\n"
         "4.3%, Itanium 12.7%.\n\n"
@@ -340,7 +474,27 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
                 + [pct(s.harmonic_mean), pct(s.paper_harmonic_mean)]
                 for s in summaries
             ],
-        )
+        ),
+        eval_scale,
+    )
+
+    # -- Section 5.1 ---------------------------------------------------------------
+    restrict = rows["Section 5.1"]
+    section(
+        "Section 5.1",
+        "## Section 5.1 — `restrict` on the Itanium 2\n\n"
+        "Paper: with `restrict` qualifiers the Itanium's compiler hoists\n"
+        "the loads itself, so the baseline performs like the\n"
+        "load-transformed code.  hmmsearch on the Itanium 2 model:\n\n"
+        + _md_table(
+            ["variant", "cycles", "speedup vs may-alias original"],
+            [
+                ["original, may-alias", restrict.original_cycles, pct(0.0)],
+                ["original + restrict", restrict.restrict_cycles, pct(restrict.restrict_gain)],
+                ["load-transformed", restrict.transformed_cycles, pct(restrict.manual_gain)],
+            ],
+        ),
+        eval_scale,
     )
 
     sections.append(
@@ -348,18 +502,3 @@ def _render(context, char_scale: str, eval_scale: str, seed: int) -> str:
         f"(char_scale={char_scale!r}, eval_scale={eval_scale!r}, seed={seed})`."
     )
     return "\n\n".join(sections) + "\n"
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    char_scale = argv[0] if len(argv) > 0 else "medium"
-    eval_scale = argv[1] if len(argv) > 1 else "large"
-    out_path = argv[2] if len(argv) > 2 else "EXPERIMENTS.md"
-    text = generate(char_scale, eval_scale)
-    with open(out_path, "w") as handle:
-        handle.write(text)
-    print(f"wrote {out_path}")
-
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,7 @@ Telemetry is off by default and the off path is a no-op: ``span()``
 returns a shared inert span and ``metrics()`` a registry that discards
 updates, so instrumented hot paths cost nothing until :func:`enable`
 is called (the CLI's ``--trace`` flag or ``REPRO_TRACE=1`` for the
-paper-table regenerators in ``benchmarks/``).
+ablation sweeps in ``benchmarks/``).
 """
 
 from __future__ import annotations

@@ -24,6 +24,10 @@ class PaperNumbers:
 
     instructions_billions: Optional[float] = None  # Table 1
     fp_fraction: Optional[float] = None  # Table 1
+    l1_local_miss: Optional[float] = None  # Table 2
+    l2_local_miss: Optional[float] = None  # Table 2
+    overall_miss: Optional[float] = None  # Table 2
+    amat: Optional[float] = None  # Table 2
     load_to_branch: Optional[float] = None  # Table 4(a)
     seq_misprediction: Optional[float] = None  # Table 4(a)
     after_hard_branch: Optional[float] = None  # Table 4(b)
@@ -153,6 +157,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=77.3,
             fp_fraction=0.0004,
+            l1_local_miss=0.0178,
+            l2_local_miss=0.0405,
+            overall_miss=0.00072,
+            amat=3.14,
             load_to_branch=0.757,
             seq_misprediction=0.199,
             after_hard_branch=0.327,
@@ -173,6 +181,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=789.4,
             fp_fraction=0.0004,
+            l1_local_miss=0.019,
+            l2_local_miss=0.0,
+            overall_miss=0.0,
+            amat=3.1,
             load_to_branch=0.562,
             seq_misprediction=0.059,
             after_hard_branch=0.196,
@@ -198,6 +210,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=145.4,
             fp_fraction=0.0004,
+            l1_local_miss=0.0046,
+            l2_local_miss=0.043,
+            overall_miss=0.0002,
+            amat=3.04,
             load_to_branch=0.336,
             seq_misprediction=0.121,
             after_hard_branch=0.067,
@@ -221,6 +237,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=542.1,
             fp_fraction=0.0063,
+            l1_local_miss=0.0047,
+            l2_local_miss=0.0005,
+            overall_miss=0.0,
+            amat=3.02,
             load_to_branch=0.316,
             seq_misprediction=0.172,
             after_hard_branch=0.232,
@@ -241,6 +261,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=67.9,
             fp_fraction=0.0015,
+            l1_local_miss=0.0161,
+            l2_local_miss=0.0424,
+            overall_miss=0.00068,
+            amat=3.13,
             load_to_branch=0.916,
             seq_misprediction=0.112,
             after_hard_branch=0.565,
@@ -264,6 +288,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=277.4,
             fp_fraction=0.0507,
+            l1_local_miss=0.0067,
+            l2_local_miss=0.1064,
+            overall_miss=0.00071,
+            amat=3.08,
             load_to_branch=0.924,
             seq_misprediction=0.104,
             after_hard_branch=0.578,
@@ -289,6 +317,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=894.2,
             fp_fraction=0.0002,
+            l1_local_miss=0.0035,
+            l2_local_miss=0.0769,
+            overall_miss=0.00027,
+            amat=3.04,
             load_to_branch=0.935,
             seq_misprediction=0.099,
             after_hard_branch=0.604,
@@ -314,6 +346,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=837.6,
             fp_fraction=0.1385,
+            l1_local_miss=0.0046,
+            l2_local_miss=0.0015,
+            overall_miss=1e-05,
+            amat=3.02,
             load_to_branch=0.511,
             seq_misprediction=0.105,
             after_hard_branch=0.211,
@@ -337,6 +373,10 @@ _register(
         paper=PaperNumbers(
             instructions_billions=339.7,
             fp_fraction=0.6533,
+            l1_local_miss=0.0052,
+            l2_local_miss=0.0493,
+            overall_miss=0.00026,
+            amat=3.04,
             load_to_branch=0.152,
             seq_misprediction=0.063,
             after_hard_branch=0.023,

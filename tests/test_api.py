@@ -71,7 +71,8 @@ def test_session_runner_carries_policy():
 def test_session_memoizes_characterization():
     with Session(scale="test", cache=False) as s:
         first = s.run("fasta")
-        assert s.characterize("fasta") is first  # memo, not a rerun
+        assert s.run("fasta") is first  # memo, not a rerun
+        assert s.characterize("fasta") is first
 
 
 def test_unknown_workload_raises_in_the_caller():

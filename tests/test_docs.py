@@ -280,8 +280,7 @@ REQUIRED_ANCHORS = {
     ],
     os.path.join("docs", "branch-prediction.md"): [
         "make_predictor", "access_branch", "precompute_coverage",
-        "--platform ldbp", "bench_ldbp",
-        "test_ldbp_reclaims_a_third_of_the_hard_branches_at_small_scale",
+        "--platform ldbp", "`ldbp.reclaims`", "EXPERIMENTS.md",
         "needs_values=True", "arXiv:2009.09064",
     ],
     os.path.join("docs", "timing-model.md"): [
@@ -303,6 +302,17 @@ class TestAnchors:
             text = handle.read()
         missing = [anchor for anchor in anchors if anchor not in text]
         assert not missing, f"{relpath}: lost anchors {missing}"
+
+    def test_fidelity_page_cites_exactly_the_ledger(self):
+        """docs/fidelity.md summarizes the claims ledger: it cites every
+        row of ``repro.core.claims`` by id, and no id the ledger lacks."""
+        from repro.core.claims import CLAIMS
+
+        with open(
+            os.path.join(REPO, "docs", "fidelity.md"), encoding="utf-8"
+        ) as handle:
+            cited = set(re.findall(r"`([a-z0-9]+\.[a-z0-9-]+)`", handle.read()))
+        assert cited == {claim.id for claim in CLAIMS}
 
     def test_every_docs_page_links_the_architecture_map(self):
         docs = os.path.join(REPO, "docs")
