@@ -71,8 +71,7 @@ def test_session_runner_carries_policy():
 def test_session_memoizes_characterization():
     with Session(scale="test", cache=False) as s:
         first = s.run("fasta")
-        assert s.run("fasta") is first  # memo, not a rerun
-        assert s.characterize("fasta") is first
+        assert s.characterize("fasta") is first  # memo, not a rerun
 
 
 def test_unknown_workload_raises_in_the_caller():

@@ -8,6 +8,7 @@ ledger rows that carry it, and test_report.py checks every row."""
 
 import pytest
 
+from repro.api import Session
 from repro.core import claims
 from repro.core import experiments as E
 
@@ -16,6 +17,12 @@ def _hold(report_rows, *claim_ids):
     ledger = [claims.BY_ID[claim_id] for claim_id in claim_ids]
     failing = [c.id for c in ledger if not c.holds(report_rows[c.table])]
     assert not failing, f"ledger rows do not hold at test scale: {failing}"
+
+
+def test_context_memoizes():
+    with Session(scale="test", seed=0, cache=False) as context:
+        first = context.run("fasta")
+        assert context.run("fasta") is first
 
 
 def test_figure1_rows_complete(report_rows):
