@@ -11,7 +11,7 @@ from repro.branch.predictors import BasePredictor, Bimodal, Hybrid, Perceptron
 from repro.core.reporting import format_table, pct
 from repro.cpu import ALPHA_21264
 from repro.cpu.ooo import OoOTimingModel
-from repro.exec import Interpreter
+from repro.exec import make_interpreter
 from repro.workloads import get_workload
 
 import os
@@ -42,7 +42,7 @@ def run_with_predictor(spec, transformed, predictor_factory):
     options = ALPHA_21264.compiler_options()
     program = spec.program(transformed=transformed, options=options)
     model = OoOTimingModel(ALPHA_21264, predictor=predictor_factory())
-    interp = Interpreter(program, spec.dataset(EVAL_SCALE, 0))
+    interp = make_interpreter(program, spec.dataset(EVAL_SCALE, 0))
     interp.run(consumers=(model,))
     return model.result()
 

@@ -12,7 +12,7 @@ import os
 from repro.core.reporting import format_table, pct
 from repro.cpu import ALPHA_21264
 from repro.cpu.ooo import OoOTimingModel
-from repro.exec import Interpreter
+from repro.exec import make_interpreter
 from repro.lang.compiler import compile_source
 from repro.workloads import get_workload
 
@@ -26,7 +26,7 @@ def run_cycles(spec, transformed, unroll_factor):
         spec.source(transformed), f"u{unroll_factor}-{transformed}", options
     )
     model = OoOTimingModel(ALPHA_21264)
-    Interpreter(program, spec.dataset(EVAL_SCALE, 0)).run(consumers=(model,))
+    make_interpreter(program, spec.dataset(EVAL_SCALE, 0)).run(consumers=(model,))
     return model.result().cycles
 
 

@@ -14,7 +14,7 @@ partially, while the source transformation removes the problem outright.
 from repro.core.reporting import format_table, pct
 from repro.cpu import ALPHA_21264
 from repro.cpu.ooo import OoOTimingModel
-from repro.exec import Interpreter
+from repro.exec import make_interpreter
 from repro.valuepred import ValuePredictability, ValuePredictingOoO
 from repro.workloads import get_workload
 
@@ -30,12 +30,12 @@ def sweep():
 
     # Predictability characterization of the original binary.
     tool = ValuePredictability()
-    Interpreter(spec.program(options=options), dataset()).run(consumers=(tool,))
+    make_interpreter(spec.program(options=options), dataset()).run(consumers=(tool,))
 
     def run(transformed, model_cls):
         program = spec.program(transformed=transformed, options=options)
         model = model_cls(ALPHA_21264)
-        Interpreter(program, dataset()).run(consumers=(model,))
+        make_interpreter(program, dataset()).run(consumers=(model,))
         return model
 
     baseline = run(False, OoOTimingModel)

@@ -177,13 +177,18 @@ class Session:
         self._runner = parallel.ParallelRunner(jobs=self.jobs)
         self._cache = None
         if self.config.cache:
-            from repro.core.runcache import _STATS_FLUSH_OPS, RunCache
+            from repro.core.runcache import _STATS_FLUSH_OPS, RunCache, compiler_digest
 
             # A session is long-lived and flushes on close, so it can
             # batch cache-counter persistence off the warm load path.
             self._cache = RunCache(
                 self.config.cache_dir, stats_flush_ops=_STATS_FLUSH_OPS
             )
+            # Digest the compiler's sources now, close to the imports
+            # that loaded them: a long-lived session that first read
+            # them after an edit would store its compiler's output
+            # under the edited sources' program key.
+            compiler_digest()
         # Telemetry this session switched on is switched off again by
         # close(); telemetry that was already on stays on.
         self._owns_telemetry = bool(self.config.trace) and not obs.enabled()
@@ -217,13 +222,14 @@ class Session:
 
         # Shared with the run cache AND run manifests (one source of
         # truth for run identity; see repro.obs.manifest.run_manifest).
-        # Memoized: the fingerprint hashes the program's disassembly
-        # and dataset bindings, and the request server computes it per
-        # request for single-flight keying.
+        # The session's cache lends its program store, so a warm hit
+        # never compiles.  Memoized: the fingerprint hashes the
+        # program's disassembly and dataset bindings, and the request
+        # server computes it per request for single-flight keying.
         key = (name, scale, seed)
         fingerprint = self._fingerprints.get(key)
         if fingerprint is None:
-            fingerprint = workload_fingerprint(name, scale, seed)
+            fingerprint = workload_fingerprint(name, scale, seed, cache=self._cache)
             self._fingerprints[key] = fingerprint
         return fingerprint
 
@@ -380,13 +386,15 @@ class Session:
         """Feed fresh instances of ``specs`` from ``workload``'s trace
         (recorded on first touch) and publish the memo entry merged
         with their payloads; returns the entry and the trace's source."""
+        from repro.core.runcache import program_key
         from repro.exec.compiled import CompiledInterpreter
         from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
         from repro.trace import TraceStore, record_trace, replay_tools
         from repro.trace import trace_fingerprint as _trace_fp
 
         name, scale, seed = memo_key
-        fingerprint = _trace_fp(name, scale, seed)
+        fingerprint = _trace_fp(name, scale, seed, cache=self._cache)
+        code_key = program_key(name, workload.source())
         store = TraceStore(self._cache) if self._cache is not None else None
         source = "memo"
         artifact = self._traces.get(memo_key)
@@ -401,7 +409,7 @@ class Session:
                 program,
                 workload.dataset(scale, seed),
                 max_instructions=DEFAULT_MAX_INSTRUCTIONS,
-                code_key=fingerprint,
+                code_key=code_key,
                 workload=name,
                 scale=scale,
                 seed=seed,
@@ -422,7 +430,7 @@ class Session:
                 program,
                 workload.dataset(scale, seed),
                 DEFAULT_MAX_INSTRUCTIONS,
-                code_key=fingerprint,
+                code_key=code_key,
             )
             interp.run(consumers=tuple(tools.values()))
             executed = interp.executed

@@ -86,9 +86,9 @@ def characterize(
 
     ``workload`` is a telemetry-only label attached to the span this
     run emits when tracing is enabled (see :mod:`repro.obs`).
-    ``code_key`` is a stable run identity (the workload fingerprint)
-    letting the compiled engine share generated code across equal
-    programs.
+    ``code_key`` is a stable program identity (a
+    :func:`repro.core.runcache.program_key`) letting the compiled
+    engine share generated code across equal programs.
     """
     from repro.exec.backends import make_interpreter
 

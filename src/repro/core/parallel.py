@@ -96,17 +96,16 @@ class FailedCell:
 
 def _characterize_task(task: Tuple) -> Tuple[str, CharacterizationResult]:
     """One characterization run: ``(name, scale, seed,
-    max_instructions)``.  The workload fingerprint is the compiled
+    max_instructions)``.  The program's seed-free key is the compiled
     engine's code key, so a long-lived worker pays codegen once per
-    workload, not once per task."""
+    workload and array shape, not once per task."""
     name, scale, seed, max_instructions = task
-    from repro.core.runcache import workload_fingerprint
+    from repro.core.runcache import program_key
 
     spec = get_workload(name)
-    code_key = workload_fingerprint(name, scale, seed, max_instructions)
     result = characterize(
         spec.program(), spec.dataset(scale, seed), max_instructions=max_instructions,
-        workload=name, code_key=code_key,
+        workload=name, code_key=program_key(name, spec.source()),
     )
     return name, result
 

@@ -18,6 +18,17 @@ that can change the result:
 * a stable rendering of the dataset bindings (so generator changes
   invalidate even when the scale string does not).
 
+The disassembly is the program's *identity text*, and a warm hit never
+compiles to find it: :func:`program_identity` looks it up by a digest
+of the program's compile inputs (:func:`program_key`: the workload
+name, its MiniC source, the compiler options, and
+:func:`compiler_digest`, a digest of the compiler's own source files),
+first in a process memo, then in the :class:`ProgramStore` kept in the
+``programs/`` subdirectory of the cache directory.  Only when both miss
+does it compile, and then it stores the text in both.  The program
+store keeps its own counters, so an identity lookup never counts as a
+result hit.
+
 Anything that fails to fingerprint, load, or unpickle degrades to a
 cache miss — the cache can never change results, only skip work.
 
@@ -51,15 +62,17 @@ The default location is ``$REPRO_CACHE_DIR``, else
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import pickle
 import tempfile
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro import obs
 from repro.exec.interpreter import DEFAULT_MAX_INSTRUCTIONS
+from repro.lang.compiler import CompilerOptions
 
 #: Bump when the pickled layout of tool state changes incompatibly,
 #: or when a tool's semantics change (same layout, different numbers).
@@ -86,6 +99,17 @@ _MAGIC = b"repro-cache\x00"
 
 #: Subdirectory (under the cache dir) where corrupt entries are parked.
 _QUARANTINE_DIR = "quarantine"
+
+#: Subdirectory (under the cache dir) holding the :class:`ProgramStore`.
+PROGRAMS_DIR = "programs"
+
+#: The ``repro`` package directory.
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The sources that decide what ``compile_source`` emits, relative to
+#: :data:`_PACKAGE`: the compiler, the ISA it targets, and the
+#: interpreter module whose C-style division constant folding borrows.
+_COMPILER_SOURCES = ("lang", "isa", "exec/interpreter.py")
 
 
 def default_cache_dir() -> str:
@@ -161,22 +185,98 @@ def run_fingerprint(
     return hasher.hexdigest()
 
 
+def compiler_sources() -> List[str]:
+    """Paths of the source files :data:`_COMPILER_SOURCES` names."""
+    paths = []
+    for entry in _COMPILER_SOURCES:
+        path = os.path.join(_PACKAGE, *entry.split("/"))
+        if not os.path.isdir(path):
+            paths.append(path)
+            continue
+        for folder, _subdirs, names in os.walk(path):
+            paths.extend(os.path.join(folder, n) for n in names if n.endswith(".py"))
+    return sorted(paths)
+
+
+@functools.lru_cache(maxsize=None)
+def compiler_digest() -> str:
+    """SHA-256 over :func:`compiler_sources`, read once per process:
+    an edit to any of them gives every program a new :func:`program_key`."""
+    hasher = hashlib.sha256()
+    for path in compiler_sources():
+        hasher.update(os.path.relpath(path, _PACKAGE).replace(os.sep, "/").encode())
+        hasher.update(b"\x00")
+        with open(path, "rb") as handle:
+            hasher.update(handle.read())
+        hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
+def program_key(
+    name: str, source: str, options: Optional[CompilerOptions] = None
+) -> str:
+    """Digest of one program's compile inputs: the name and MiniC
+    ``source`` that ``compile_source`` reads, every field of its
+    ``options`` (default: the default :class:`CompilerOptions`), and
+    :func:`compiler_digest`.
+
+    It names no seed or scale, so besides keying the program store it
+    is the compiled engine's ``code_key``: generated code depends only
+    on the program, its array lengths and the dispatch mode.
+    """
+    options = CompilerOptions() if options is None else options
+    hasher = hashlib.sha256()
+    for part in ("program", name, source, repr(options), compiler_digest()):
+        hasher.update(part.encode())
+        hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
+#: program_key -> identity text, for this process.
+_IDENTITY_MEMO: Dict[str, str] = {}
+
+
+def program_identity(spec, cache: Optional[RunCache] = None) -> str:
+    """The identity text of workload ``spec``'s program at the default
+    compiler options: its disassembly, which every run fingerprint
+    hashes.
+
+    Looked up by :func:`program_key` in the process memo, then in the
+    :class:`ProgramStore` of ``cache``'s directory.  Only when both
+    miss is the program compiled, and its text stored in both.
+    """
+    key = program_key(spec.name, spec.source())
+    text = _IDENTITY_MEMO.get(key)
+    if text is None:
+        store = cache.programs if cache is not None else None
+        text = store.load(key) if store is not None else None
+        if not isinstance(text, str):
+            text = spec.program().disassemble()
+            if store is not None:
+                store.store(key, text)
+        _IDENTITY_MEMO[key] = text
+    return text
+
+
 def workload_fingerprint(
     name: str,
     scale: str,
     seed: int,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     tool_config: str = "standard",
+    cache: Optional[RunCache] = None,
 ) -> str:
     """Fingerprint of a registered workload's characterization run.
 
-    Resolves the workload by name and feeds its current disassembly and
-    dataset bindings into :func:`run_fingerprint`.  This is the **only**
-    place run identity is computed: :class:`repro.api.Session` keys the
-    cache with it, :class:`repro.trace.TraceStore` keys trace artifacts
-    with it (under ``tool_config="trace"``), and :func:`repro.obs.
-    manifest.run_manifest` stamps it into manifests, so they can never
-    drift apart.
+    Resolves the workload by name and feeds its program's identity text
+    (:func:`program_identity`, which reads ``cache``'s program store
+    instead of compiling when it can) and its dataset bindings into
+    :func:`run_fingerprint`.  This is the **only** place run identity
+    is computed: :class:`repro.api.Session` keys the cache with it,
+    :class:`repro.trace.TraceStore` keys trace artifacts with it (under
+    ``tool_config="trace"``), and :func:`repro.obs.manifest.
+    run_manifest` stamps it into manifests, so they can never drift
+    apart.
     """
     from repro.workloads.registry import get_workload
 
@@ -186,31 +286,18 @@ def workload_fingerprint(
         scale,
         seed,
         max_instructions,
-        _disassembly(name, spec.program()),
+        program_identity(spec, cache),
         spec.dataset(scale, seed),
         tool_config=tool_config,
     )
 
 
-#: name -> (program object, its disassembly text).  The program is
-#: seed- and scale-independent, so its (expensive) disassembly is the
-#: same for every fingerprint of a workload; holding the program object
-#: itself keeps the identity check exact even if a test re-registers a
-#: workload with a different program.
-_DISASSEMBLY_MEMO: Dict[str, Tuple[object, str]] = {}
-
-
-def _disassembly(name: str, program) -> str:
-    cached = _DISASSEMBLY_MEMO.get(name)
-    if cached is not None and cached[0] is program:
-        return cached[1]
-    text = program.disassemble()
-    _DISASSEMBLY_MEMO[name] = (program, text)
-    return text
-
-
 class RunCache:
     """Filesystem-backed store of pickled characterization results."""
+
+    #: Prefix of the :mod:`repro.obs.metrics` counters this store's
+    #: counters are mirrored into.
+    metric_prefix = "runcache"
 
     def __init__(
         self,
@@ -231,6 +318,15 @@ class RunCache:
         self._stats_flush_ops = max(1, int(stats_flush_ops))
         self._pending: Dict[str, int] = {}
         self._pending_ops = 0
+        self._programs: Optional[ProgramStore] = None
+
+    @property
+    def programs(self) -> "ProgramStore":
+        """This directory's :class:`ProgramStore`: its counters are
+        batched as this cache's are and flushed with them."""
+        if self._programs is None:
+            self._programs = ProgramStore(self)
+        return self._programs
 
     # -- entry paths --------------------------------------------------------
     def _path(self, key: str) -> str:
@@ -268,7 +364,7 @@ class RunCache:
         registry = obs.metrics()
         for key, delta in deltas.items():
             if delta:
-                registry.counter(f"runcache.{key}").inc(delta)
+                registry.counter(f"{self.metric_prefix}.{key}").inc(delta)
                 self._pending[key] = self._pending.get(key, 0) + delta
                 self._pending_ops += 1
         if self._pending_ops >= self._stats_flush_ops:
@@ -284,6 +380,8 @@ class RunCache:
         effectiveness counters, while the cache entries stay correct
         regardless.
         """
+        if self._programs is not None:
+            self._programs.flush_stats()
         if not self._pending:
             return
         pending, self._pending = self._pending, {}
@@ -422,8 +520,13 @@ class RunCache:
         return stats
 
     def clear(self) -> int:
-        """Delete every entry (including quarantined ones) and reset
-        counters; returns the number of live entries removed."""
+        """Delete every entry (including quarantined ones and the
+        :class:`ProgramStore`'s) and reset counters; returns the number
+        of live result entries removed."""
+        self.programs._clear_files()
+        return self._clear_files()
+
+    def _clear_files(self) -> int:
         self._pending = {}
         self._pending_ops = 0
         removed = 0
@@ -480,3 +583,20 @@ class RunCache:
         if evicted:
             self._bump(evictions=evicted)
         return evicted
+
+
+class ProgramStore(RunCache):
+    """Program identity texts (:func:`program_identity`) keyed by
+    :func:`program_key`, in the ``programs/`` subdirectory of a run
+    cache's directory (:attr:`RunCache.programs`).  Its counters are its
+    own — its ``_stats.json`` sits in that subdirectory and its metrics
+    are ``runcache.programs.*`` — so an identity lookup never counts as
+    a result hit."""
+
+    metric_prefix = "runcache.programs"
+
+    def __init__(self, cache: RunCache):
+        super().__init__(
+            os.path.join(cache.directory, PROGRAMS_DIR),
+            stats_flush_ops=cache._stats_flush_ops,
+        )

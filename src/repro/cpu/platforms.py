@@ -43,11 +43,12 @@ class PlatformConfig:
     int_registers: int = 32
     float_registers: int = 32
     in_order: bool = False
-    #: Whether the ISA has a general integer conditional move, so the
-    #: compiler can if-convert store-free THEN paths.  Alpha (cmovXX),
-    #: Pentium 4 (cmovcc), and Itanium (full predication) do; the
-    #: PowerPC of the paper's era has no integer select the gcc 3.3
-    #: baseline would emit.
+    #: Whether the baseline compiler emits a general integer conditional
+    #: move, so it can if-convert store-free THEN paths.  Alpha (cmovXX)
+    #: and Itanium (full predication) do.  The PowerPC of the paper's
+    #: era has no integer select the gcc 3.3 baseline would emit, and
+    #: the Pentium 4's cmovcc is out of reach of that baseline's i386
+    #: target (see ``PENTIUM_4``).
     has_cmov: bool = True
     #: Full predication (Itanium): stores can be guarded by predicate
     #: registers, so if-conversion is not blocked by stores at all.

@@ -27,9 +27,10 @@ def make_interpreter(
     """Build the compiled engine for ``program`` (constructor contract
     identical to :class:`~repro.exec.interpreter.Interpreter`).
 
-    ``code_key`` — a stable identity such as the workload fingerprint —
-    lets it reuse generated code across value-equal ``Program`` objects
-    (parallel workers, repeated Session runs).
+    ``code_key`` — a stable program identity such as
+    :func:`repro.core.runcache.program_key` — lets it reuse generated
+    code across value-equal ``Program`` objects (parallel workers,
+    repeated Session runs).
     """
     from repro.exec.compiled import CompiledInterpreter
 

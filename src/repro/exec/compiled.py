@@ -1410,10 +1410,10 @@ class CompiledProgram:
 #: Per-Program compiled cache: Program identity -> {(lengths, mode): cp}.
 _WEAK_CACHE: "WeakKeyDictionary" = WeakKeyDictionary()
 #: Cross-process-safe keyed cache: (code_key, lengths, mode) -> cp.  Used
-#: when the caller supplies a workload fingerprint, so parallel sweep
-#: cells and repeated Session runs that rebuild value-equal Program
-#: objects still pay codegen once per worker.  Bounded in practice by
-#: (registered workloads x scales x modes).
+#: when the caller supplies a program key, so parallel sweep cells and
+#: repeated Session runs that rebuild value-equal Program objects still
+#: pay codegen once per worker.  Bounded in practice by (registered
+#: workloads x array shapes x modes).
 _KEYED_CACHE: Dict[Tuple, CompiledProgram] = {}
 
 
@@ -1606,8 +1606,8 @@ class CompiledInterpreter(Interpreter):
     """Drop-in :class:`Interpreter` running per-block compiled code.
 
     Identical constructor contract plus ``code_key``: an optional stable
-    identity (the workload fingerprint) enabling the cross-Program
-    compiled-code cache.  ``run`` produces bit-identical tool state,
+    program identity (:func:`repro.core.runcache.program_key`) enabling
+    the cross-Program compiled-code cache.  ``run`` produces bit-identical tool state,
     memory, registers, telemetry, and errors versus the switch engine.
     """
 

@@ -41,10 +41,13 @@ def trace_fingerprint(
     scale: str,
     seed: int,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+    cache: Optional[RunCache] = None,
 ) -> str:
-    """Cache key of a registered workload's trace artifact."""
+    """Cache key of a registered workload's trace artifact (``cache``
+    lends its program store, as in :func:`workload_fingerprint`)."""
     return workload_fingerprint(
-        name, scale, seed, max_instructions, tool_config=TRACE_TOOL_CONFIG
+        name, scale, seed, max_instructions, tool_config=TRACE_TOOL_CONFIG,
+        cache=cache,
     )
 
 

@@ -10,7 +10,6 @@ paper's own measurements for side-by-side reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache  # noqa: F401  (kept for API stability)
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.program import Program
