@@ -9,6 +9,7 @@ store-blocked hoisting).  The bar is the claims ledger's
 ``sec51.restrict`` row, which ``repro report`` checks too.
 """
 
+from repro.api import Session
 from repro.core import claims
 from repro.core import experiments as E
 from repro.core.reporting import format_table, pct
@@ -19,7 +20,8 @@ EVAL_SCALE = os.environ.get("REPRO_EVAL_SCALE", "small")
 
 
 def test_ablation_restrict(publish):
-    row = E.section51_restrict(EVAL_SCALE, seed=0)
+    with Session(eval_scale=EVAL_SCALE, seed=0, cache=False) as session:
+        row = E.section51_restrict(session)
     publish(
         "ablation_restrict",
         format_table(

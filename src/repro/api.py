@@ -23,7 +23,10 @@ The session owns the knobs that used to drift between entry points:
 Results are memoized per (workload, scale, seed) within the session
 and persisted through the run cache across sessions, so repeated
 queries cost one characterization run, exactly like the paper's
-instrument-once / analyse-many ATOM workflow.
+instrument-once / analyse-many ATOM workflow.  Timed results take the
+same way: every Table 8 cell and sweep point is one
+:class:`~repro.core.pipeline.Cell`, answered by the session memo, then
+the run cache, then the session's runner, and stored as it settles.
 
 :meth:`Session.analyze` is the trace-backed query path: the first
 analysis of a workload records a :class:`repro.trace.TraceArtifact`
@@ -45,7 +48,8 @@ from repro import obs
 from repro.atom.registry import ToolSpec, tool_specs
 from repro.atom.runner import CharacterizationResult
 from repro.core import parallel
-from repro.core.pipeline import EvaluationResult
+from repro.core.pipeline import Cell, EvaluationResult
+from repro.cpu.platforms import PLATFORMS
 from repro.workloads.registry import all_workloads, get_workload, spec_workloads
 
 __all__ = ["AnalyzeResult", "RunConfig", "Session"]
@@ -173,22 +177,28 @@ class Session:
         self._fingerprints: Dict[Tuple[str, str, int], str] = {}
         self._traces: Dict[Tuple[str, str, int], object] = {}
         self._analyses: Dict[Tuple[str, str, int], _Analysis] = {}
-        self._evaluations: Dict[Tuple[str, str, str, int], EvaluationResult] = {}
+        self._cells: Dict[Cell, EvaluationResult] = {}
         self._runner = parallel.ParallelRunner(jobs=self.jobs)
         self._cache = None
         if self.config.cache:
-            from repro.core.runcache import _STATS_FLUSH_OPS, RunCache, compiler_digest
+            from repro.core.runcache import (
+                _STATS_FLUSH_OPS,
+                RunCache,
+                compiler_digest,
+                timing_digest,
+            )
 
             # A session is long-lived and flushes on close, so it can
             # batch cache-counter persistence off the warm load path.
             self._cache = RunCache(
                 self.config.cache_dir, stats_flush_ops=_STATS_FLUSH_OPS
             )
-            # Digest the compiler's sources now, close to the imports
-            # that loaded them: a long-lived session that first read
-            # them after an edit would store its compiler's output
-            # under the edited sources' program key.
+            # Digest the compiler's and the timing model's sources now,
+            # close to the imports that loaded them: a long-lived
+            # session that first read them after an edit would store
+            # its results under the edited sources' keys.
             compiler_digest()
+            timing_digest()
         # Telemetry this session switched on is switched off again by
         # close(); telemetry that was already on stays on.
         self._owns_telemetry = bool(self.config.trace) and not obs.enabled()
@@ -253,11 +263,26 @@ class Session:
         scale: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> Optional[EvaluationResult]:
-        """The already-computed single-cell :meth:`evaluate` result, or
-        None — the request server's fast path for evaluate requests."""
-        return self._evaluations.get(
-            self._evaluation_key(workload, platform, scale, seed)
-        )
+        """The already-timed single-cell :meth:`evaluate` result, or
+        None — memo only: no dataset, key or disk I/O.  The request
+        server's fast path for evaluate requests."""
+        return self._cells.get(self._evaluation_cell(workload, platform, scale, seed))
+
+    def memoized_sweep(self, workload, field, values, kind="platform", **kwargs):
+        """The :meth:`sweep` answer when every point is memoized, or
+        None — memo only, like :meth:`memoized_evaluation`.  The request
+        server's fast path for sweep requests.  A bad field or value is
+        None here; :meth:`sweep` reports it."""
+        from repro.core.sweeps import sweep_points
+
+        try:
+            cells = self._sweep_cells(workload, field, values, kind, **kwargs)
+            evaluations = [self._cells.get(cell) for cell in cells]
+        except (TypeError, ValueError):
+            return None
+        if any(evaluation is None for evaluation in evaluations):
+            return None
+        return sweep_points(field, values, evaluations)
 
     def memoized_analysis(
         self,
@@ -282,10 +307,10 @@ class Session:
             return None
         return entry.answer(key, specs, "memo")
 
-    def _evaluation_key(self, workload, platform, scale, seed):
-        return (
+    def _evaluation_cell(self, workload, platform, scale, seed) -> Cell:
+        return Cell.of(
             workload,
-            platform or "alpha",
+            PLATFORMS[platform or "alpha"],
             self.config.eval_scale if scale is None else scale,
             self.seed if seed is None else seed,
         )
@@ -489,29 +514,60 @@ class Session:
                     )
 
     # -- evaluation ----------------------------------------------------------
+    def _evaluate_cells(self, cells: Sequence[Cell], strict: bool = False) -> List:
+        """Each of ``cells`` timed, in order: from the session memo, else
+        the run cache, else the session's runner, which stores each
+        cell in both as it settles (an interrupted map keeps every cell
+        that finished).  A cell that fails is a
+        :class:`~repro.core.parallel.FailedCell` in its slot, or raises
+        :class:`~repro.core.parallel.WorkerTaskError` when ``strict``,
+        and is never stored."""
+        from repro.core.runcache import cell_key
+
+        results = [self._cells.get(cell) for cell in cells]
+        keys: Dict[Cell, str] = {}
+        if self._cache is not None:
+            for index, cell in enumerate(cells):
+                if results[index] is None:
+                    keys[cell] = cell_key(cell)
+                    cached = self._cache.load(keys[cell])
+                    if isinstance(cached, EvaluationResult):
+                        results[index] = self._cells[cell] = cached
+        pending = [index for index, result in enumerate(results) if result is None]
+
+        def settle(_index: int, cell: Cell, evaluation: EvaluationResult) -> None:
+            self._cells[cell] = evaluation
+            if self._cache is not None:
+                self._cache.store(keys[cell], evaluation)
+
+        mapper = self._runner.map if strict else self._runner.map_settled
+        settled = mapper(
+            parallel._evaluate_task, [cells[i] for i in pending], on_result=settle
+        )
+        for index, value in zip(pending, settled):
+            results[index] = value
+        return results
+
     def evaluate(
         self,
         workload: Optional[str] = None,
         platform: Optional[str] = None,
         platforms: Optional[Sequence[str]] = None,
         scale: Optional[str] = None,
-        checkpoint: Optional[str] = None,
         strict: bool = False,
         seed: Optional[int] = None,
     ):
-        """Original-vs-transformed evaluation.
+        """Original-vs-transformed evaluation: each cell from the
+        session memo, else the run cache, else the session's runner.
 
         With a ``workload``: one :class:`EvaluationResult` on one
-        ``platform`` (default ``"alpha"``), run in the calling process
-        and memoized per (workload, platform, scale, seed).
+        ``platform`` (default ``"alpha"``); a failure raises.
 
         Without: the full Table 8 grid over ``platforms`` (default:
         :data:`DEFAULT_PLATFORMS`, the four Table 7 models plus the
         LDBP column) at ``eval_scale``, returning runtime rows
         with :class:`~repro.core.parallel.FailedCell` markers for cells
-        that failed (or raising when ``strict=True``).
-        ``checkpoint`` streams completed cells to a JSONL file and
-        resumes from it, running only the missing cells.  ``seed``
+        that failed (or raising when ``strict=True``).  ``seed``
         (default: the session's) picks the dataset either way.
         """
         from repro.core import experiments as E
@@ -520,51 +576,40 @@ class Session:
         seed = self.seed if seed is None else seed
         if workload is not None:
             get_workload(workload)  # KeyError in the caller, not a worker
-            memo_key = self._evaluation_key(workload, platform, scale, seed)
-            evaluation = self._evaluations.get(memo_key)
-            if evaluation is None:
-                _name, _key, evaluation = parallel._evaluate_task(
-                    (workload, memo_key[1], scale, seed)
-                )
-                self._evaluations[memo_key] = evaluation
+            cell = self._evaluation_cell(workload, platform, scale, seed)
+            (evaluation,) = self._evaluate_cells([cell], strict=True)
             return evaluation
         keys = tuple(platforms) if platforms else DEFAULT_PLATFORMS
-        return E.table8_runtimes(
-            scale=scale,
-            seed=seed,
-            platform_keys=keys,
-            runner=self._runner,
-            checkpoint=checkpoint,
-            strict=strict,
-        )
+        cells = E.table8_cells(scale, seed, keys)
+        return E.table8_runtimes(self._evaluate_cells(cells, strict=strict))
 
     # -- sweeps --------------------------------------------------------------
-    def sweep(
-        self,
-        workload: str,
-        field: str,
-        values: Sequence[object],
-        kind: str = "platform",
-        **kwargs,
-    ):
+    def sweep(self, workload, field, values, kind="platform", **kwargs):
         """Sensitivity sweep over one platform or compiler parameter.
 
         ``kind`` is ``"platform"`` (a :class:`~repro.cpu.PlatformConfig`
         field) or ``"compiler"`` (a :class:`~repro.lang.CompilerOptions`
-        field); extra keyword arguments pass through to the underlying
-        sweep function.  Points fan out over the session's workers.
+        field); keyword arguments (``scale``, ``seed``, default: the
+        session's; ``base`` or ``platform``) pass through to
+        :func:`repro.core.sweeps.platform_cells` or
+        :func:`~repro.core.sweeps.compiler_cells`.  Each point is one
+        cell, answered as :meth:`evaluate` answers its cells; a failed
+        point raises.
         """
+        from repro.core.sweeps import sweep_points
+
+        cells = self._sweep_cells(workload, field, values, kind, **kwargs)
+        return sweep_points(field, values, self._evaluate_cells(cells, strict=True))
+
+    def _sweep_cells(self, workload, field, values, kind, scale=None, seed=None, **kw):
         from repro.core import sweeps
 
-        if kind == "platform":
-            fn = sweeps.sweep_platform_field
-        elif kind == "compiler":
-            fn = sweeps.sweep_compiler_flag
-        else:
+        builders = {"platform": sweeps.platform_cells, "compiler": sweeps.compiler_cells}
+        if kind not in builders:
             raise ValueError(f"unknown sweep kind {kind!r} (want platform|compiler)")
-        kwargs.setdefault("scale", self.scale)
-        kwargs.setdefault("seed", self.seed)
-        return fn(workload, field, values, runner=self._runner, **kwargs)
+        scale = self.scale if scale is None else scale
+        seed = self.seed if seed is None else seed
+        return builders[kind](workload, field, values, scale=scale, seed=seed, **kw)
 
     # -- lifecycle -----------------------------------------------------------
     def pool_liveness(self) -> List[Dict[str, object]]:

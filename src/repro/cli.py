@@ -8,8 +8,8 @@ Commands:
 * ``candidates WORKLOAD`` — the Section 3 candidate loads;
 * ``evaluate WORKLOAD`` — original vs transformed cycles per platform;
   ``evaluate --all`` runs the whole Table 8 grid, reporting failed
-  cells instead of stopping (``--checkpoint FILE`` resumes an
-  interrupted sweep from its completed cells);
+  cells instead of stopping (with ``--cache``, a re-run over the same
+  ``--cache-dir`` times only the cells the cache lacks);
 * ``disasm WORKLOAD`` — machine code, original or transformed;
 * ``report`` — regenerate EXPERIMENTS.md (all tables and figures);
 * ``cache stats|clear|prune`` — inspect, clear, or size-bound the
@@ -162,13 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--platform",
         choices=["alpha", "powerpc", "pentium4", "itanium", "ldbp", "all"],
         default="all",
-    )
-    evaluate.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="with --all: stream completed cells to this JSONL file and "
-        "resume from it, running only the missing cells",
     )
 
     disasm = sub.add_parser(
@@ -430,15 +423,14 @@ def _cmd_evaluate(args) -> None:
 
 
 def _cmd_evaluate_all(args) -> None:
-    """The full Table 8 grid, degrading per cell, checkpoint-resumable."""
+    """The full Table 8 grid, degrading per cell; with the run cache on,
+    a re-run times only the cells the cache lacks."""
     from repro.core.experiments import figure9_speedups, render_figure9, render_table8
     from repro.core.parallel import FailedCell
 
     platforms = None if args.platform == "all" else (args.platform,)
     with _session_from_args(args, scale=args.scale) as session:
-        rows = session.evaluate(
-            platforms=platforms, scale=args.scale, checkpoint=args.checkpoint
-        )
+        rows = session.evaluate(platforms=platforms, scale=args.scale)
     print(render_table8(rows))
     print()
     print(render_figure9(figure9_speedups(rows)))
@@ -447,8 +439,11 @@ def _cmd_evaluate_all(args) -> None:
         print(f"\n{len(failed)} cell(s) failed:")
         for cell in failed:
             print(f"  {cell.description}: {cell.error}")
-        if args.checkpoint:
-            print(f"re-run with --checkpoint {args.checkpoint} to run only these")
+        if session.cache is not None:
+            print(
+                f"re-run with --cache --cache-dir {session.cache.directory} "
+                "to run only these"
+            )
         sys.exit(1)
 
 

@@ -11,13 +11,13 @@ program, exactly like the paper's single ATOM profile run.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.atom.reuse import ReuseSummary
 from repro.atom.runner import LoadProfileRow
-from repro.core.pipeline import harmonic_mean_speedup, run_timed
+from repro.core.parallel import FailedCell
+from repro.core.pipeline import Cell, harmonic_mean_speedup
 from repro.core.reporting import format_table, pct
 from repro.cpu.platforms import PLATFORMS, PlatformConfig
 from repro.workloads.registry import (
@@ -337,103 +337,63 @@ class RuntimeRow:
     paper_speedup: Optional[float]
 
 
-def _cell_key(task: Tuple) -> str:
-    """Checkpoint key of one evaluation cell (workload:platform)."""
-    return f"{task[0]}:{task[1]}"
+#: Platform key by platform name, for a settled cell's row.
+_PLATFORM_KEYS = {platform.name: key for key, platform in PLATFORMS.items()}
 
 
-def table8_runtimes(
-    scale: str = "large",
-    seed: int = 0,
-    platform_keys: Tuple[str, ...] = (
-        "alpha",
-        "powerpc",
-        "pentium4",
-        "itanium",
-        "ldbp",
-    ),
-    jobs: int = 1,
-    runner=None,
-    checkpoint: Optional[str] = None,
-    strict: bool = False,
-) -> List:
+def table8_cells(scale: str, seed: int, platform_keys: Sequence[str]) -> List[Cell]:
+    """The Table 8 grid, platform by platform: each amenable program at
+    each platform's baseline options."""
+    names = [spec.name for spec in amenable_workloads()]
+    return [
+        Cell.of(name, PLATFORMS[key], scale, seed)
+        for key in platform_keys
+        for name in names
+    ]
+
+
+def table8_runtimes(settled: Sequence) -> List:
     """Table 8: original vs transformed cycles per amenable program and
     platform (the paper reports seconds; cycles are the simulator
     analogue — Figure 9's speedups are the comparable quantity).
 
-    ``jobs > 1`` evaluates the (platform, workload) grid across worker
-    processes; each cell is an independent deterministic simulation and
-    rows come back in grid order, so the output is identical to serial.
-
-    ``runner`` supplies a :class:`~repro.core.parallel.ParallelRunner`
-    (a session's); otherwise one is built from ``jobs`` and closed on
-    return.  A cell that fails appears in the result as a
-    :class:`~repro.core.parallel.FailedCell` marker (the sweep degrades
-    instead of raising) unless ``strict=True``.  ``checkpoint`` names a
-    JSONL file: completed cells stream into it as they settle, and a
-    rerun with the same sweep parameters loads them back and runs only
-    the missing cells.
+    ``settled`` holds the timed cells of :func:`table8_cells` in grid
+    order (as :meth:`repro.api.Session.evaluate` settles them); each
+    becomes a :class:`RuntimeRow`, and a
+    :class:`~repro.core.parallel.FailedCell` keeps its slot, so a
+    degraded grid still renders.
     """
-    from repro.core.parallel import FailedCell, ParallelRunner, _evaluate_task
-    from repro.core.resume import SweepCheckpoint, sweep_fingerprint
-
-    names = [spec.name for spec in amenable_workloads()]
-    tasks = [(name, key, scale, seed) for key in platform_keys for name in names]
-    store = SweepCheckpoint.open_for(
-        checkpoint,
-        sweep_fingerprint("table8", scale, seed, tuple(platform_keys), tuple(names)),
-    )
-    done: Dict[str, object] = store.load() if store is not None else {}
-    pending = [task for task in tasks if _cell_key(task) not in done]
-
-    on_result = None
-    if store is not None:
-        on_result = lambda index, task, value: store.record(_cell_key(task), value)
-    if pending:
-        own = runner is None
-        with ParallelRunner(jobs=jobs) if own else nullcontext(runner) as active:
-            mapper = active.map if strict else active.map_settled
-            settled = mapper(_evaluate_task, pending, on_result=on_result)
-        done.update(zip(map(_cell_key, pending), settled))
-
     rows: List = []
-    for task in tasks:
-        value = done[_cell_key(task)]
+    for value in settled:
         if isinstance(value, FailedCell):
             rows.append(value)
             continue
-        name, key, evaluation = value
-        spec = get_workload(name)
-        platform = PLATFORMS[key]
-        paper_speedup = None
-        paper_pair = spec.paper.runtimes.get(key)
-        if paper_pair is not None:
-            paper_speedup = paper_pair[0] / paper_pair[1] - 1.0
+        key = _PLATFORM_KEYS[value.platform]
+        paper_pair = get_workload(value.workload).paper.runtimes.get(key)
         rows.append(
             RuntimeRow(
-                workload=spec.name,
+                workload=value.workload,
                 platform_key=key,
-                platform=platform.name,
-                original_cycles=evaluation.original.cycles,
-                transformed_cycles=evaluation.transformed.cycles,
-                speedup=evaluation.speedup,
-                paper_speedup=paper_speedup,
+                platform=value.platform,
+                original_cycles=value.original.cycles,
+                transformed_cycles=value.transformed.cycles,
+                speedup=value.speedup,
+                paper_speedup=None
+                if paper_pair is None
+                else paper_pair[0] / paper_pair[1] - 1.0,
             )
         )
     return rows
 
 
 def render_table8(rows: List) -> str:
-    from repro.core.parallel import FailedCell
-
     body = []
     failed = 0
     for r in rows:
         if isinstance(r, FailedCell):
             failed += 1
-            name, key = r.task[0], r.task[1]
             body.append(
-                [name, PLATFORMS[key].name, "—", "—", "FAILED", pct(None)]
+                [r.task.workload, r.task.platform.name, "—", "—", "FAILED", pct(None)]
             )
             continue
         body.append(
@@ -478,13 +438,11 @@ def figure9_speedups(rows: List) -> List[SpeedupSummary]:
     summary's ``failed`` count, so a partial sweep still yields a
     figure — annotated, not silently narrowed.
     """
-    from repro.core.parallel import FailedCell
-
     failed_by_platform: Dict[str, int] = {}
     ok_rows: List[RuntimeRow] = []
     for r in rows:
         if isinstance(r, FailedCell):
-            key = r.task[1]
+            key = _PLATFORM_KEYS[r.task.platform.name]
             failed_by_platform[key] = failed_by_platform.get(key, 0) + 1
         else:
             ok_rows.append(r)
@@ -562,15 +520,22 @@ class RestrictRow:
         return self.original_cycles / self.transformed_cycles - 1.0
 
 
-def section51_restrict(scale: str = "large", seed: int = 0) -> RestrictRow:
+def section51_restrict(context: "Session") -> RestrictRow:
     """Section 5.1: with ``restrict`` the Itanium's compiler hoists the
-    loads itself, so the baseline recovers part of the manual gain."""
-    spec = get_workload("hmmsearch")
-    itanium = PLATFORMS["itanium"]
+    loads itself, so the baseline recovers part of the manual gain.
+
+    An ``alias_model`` sweep on the Itanium at the session's
+    ``eval_scale``; its may-alias point is Table 8's Itanium cell."""
+    may_alias, restrict = context.sweep(
+        "hmmsearch",
+        "alias_model",
+        ["may-alias", "restrict"],
+        kind="compiler",
+        platform=PLATFORMS["itanium"],
+        scale=context.config.eval_scale,
+    )
     return RestrictRow(
-        original_cycles=run_timed(spec, itanium, False, scale, seed).cycles,
-        restrict_cycles=run_timed(
-            spec, itanium, False, scale, seed, alias_model="restrict"
-        ).cycles,
-        transformed_cycles=run_timed(spec, itanium, True, scale, seed).cycles,
+        original_cycles=may_alias.original_cycles,
+        restrict_cycles=restrict.original_cycles,
+        transformed_cycles=may_alias.transformed_cycles,
     )

@@ -15,8 +15,10 @@ raises fails alone, and a worker that dies mid-task (the OOM killer, a
 SIGKILL) is seen as end-of-file on its pipe: its task becomes a
 ``WorkerCrash`` :class:`FailedCell`, the worker is replaced and the
 rest of the map finishes.  Nothing is retried: re-running a
-deterministic simulation reproduces its failure, and an interrupted
-sweep resumes from its checkpoint (:mod:`repro.core.resume`).
+deterministic simulation reproduces its failure.  A session stores each
+timed cell in its run cache as the cell settles (``on_result``), so an
+interrupted grid re-run over the same cache directory times only the
+cells it lacks.
 
 Workers start on the first pooled map and serve later maps until
 :meth:`ParallelRunner.close` or garbage collection.  Each task carries
@@ -110,23 +112,20 @@ def _characterize_task(task: Tuple) -> Tuple[str, CharacterizationResult]:
     return name, result
 
 
-def _evaluate_task(task: Tuple):
-    """One original-vs-transformed evaluation on one platform:
-    ``(name, platform_key, scale, seed)``."""
-    name, platform_key, scale, seed = task
+def _evaluate_task(cell):
+    """One timed :class:`~repro.core.pipeline.Cell`: its original and
+    transformed variants as an ``EvaluationResult``."""
     from repro.core.pipeline import evaluate_workload
-    from repro.cpu.platforms import PLATFORMS
 
-    platform = PLATFORMS[platform_key]
-    spec = get_workload(name)
-    return name, platform_key, evaluate_workload(
-        spec, platform, scale=scale, seed=seed
+    return evaluate_workload(
+        get_workload(cell.workload), cell.platform, cell.scale, cell.seed,
+        cell.options,
     )
 
 
 _TASK_FORMATS = {
     _characterize_task: "characterize workload={} scale={} seed={}",
-    _evaluate_task: "evaluate workload={} platform={} scale={} seed={}",
+    _evaluate_task: "evaluate workload={0} platform={1.name} scale={3} seed={4}",
 }
 
 
@@ -219,8 +218,8 @@ def _stop_all(pool: List[_Worker]) -> None:
 
 class ParallelRunner:
     """Maps a module-level ``func`` over picklable tasks, pooled or
-    serially.  ``on_result(index, task, value)`` runs as each task
-    succeeds (the checkpoint hook)."""
+    serially.  ``on_result(index, task, value)`` runs in the caller as
+    each task succeeds (a session stores each timed cell through it)."""
 
     def __init__(self, jobs: Optional[int] = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))

@@ -5,17 +5,49 @@ load-transformed sources with the platform's baseline -O3 options
 (register budget, conditional-move availability), execute both on the
 platform's timing model over the *same* dataset, and report cycles and
 speedup.  :func:`harmonic_mean_speedup` aggregates per Figure 9.
+
+Every timed result (a Table 8 cell, a single-cell ``Session.evaluate``,
+a sweep point) is one :class:`Cell`, and :func:`evaluate_workload`
+times it; a ``repro.api.Session`` runs cells through its memo, the run
+cache and its runner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
+from typing import Iterable, NamedTuple, Optional
 
 from repro.cpu.platforms import PlatformConfig, make_timing_model
 from repro.cpu.ooo import TimingResult
 from repro.exec.backends import make_interpreter
+from repro.lang.compiler import CompilerOptions
 from repro.workloads.registry import WorkloadSpec
+
+
+class Cell(NamedTuple):
+    """One timed result: ``workload``'s original and load-transformed
+    variants, both compiled with ``options`` and timed on ``platform``
+    over the ``(scale, seed)`` dataset.  A picklable runner task that
+    names its workload, and a session memo key."""
+
+    workload: str
+    platform: PlatformConfig
+    options: CompilerOptions
+    scale: str
+    seed: int
+
+    def __hash__(self) -> int:
+        # CompilerOptions is a mutable dataclass, so its repr stands in.
+        return hash(
+            (self.workload, self.platform, repr(self.options), self.scale, self.seed)
+        )
+
+    @classmethod
+    def of(cls, workload, platform, scale, seed, **changes) -> "Cell":
+        """The cell at ``platform``'s baseline -O3 compiler options, with
+        the :class:`CompilerOptions` fields in ``changes`` replaced."""
+        options = replace(platform.compiler_options(), **changes)
+        return cls(workload, platform, options, scale, seed)
 
 
 @dataclass
@@ -50,10 +82,12 @@ def run_timed(
     transformed: bool,
     scale: str = "medium",
     seed: int = 0,
-    alias_model: str = "may-alias",
+    options: Optional[CompilerOptions] = None,
 ) -> TimingResult:
-    """Compile one variant for ``platform`` and time it."""
-    options = platform.compiler_options(alias_model=alias_model)
+    """Compile one variant with ``options`` (default: ``platform``'s
+    baseline options) and time it on ``platform``."""
+    if options is None:
+        options = platform.compiler_options()
     program = spec.program(transformed=transformed, options=options)
     model = make_timing_model(platform)
     interp = make_interpreter(program, spec.dataset(scale, seed))
@@ -66,11 +100,12 @@ def evaluate_workload(
     platform: PlatformConfig,
     scale: str = "medium",
     seed: int = 0,
-    alias_model: str = "may-alias",
+    options: Optional[CompilerOptions] = None,
 ) -> EvaluationResult:
-    """Time original and transformed variants on one platform."""
-    original = run_timed(spec, platform, False, scale, seed, alias_model)
-    transformed = run_timed(spec, platform, True, scale, seed, alias_model)
+    """Time original and transformed variants on one platform, both
+    compiled with ``options`` (default: the platform's baseline)."""
+    original = run_timed(spec, platform, False, scale, seed, options)
+    transformed = run_timed(spec, platform, True, scale, seed, options)
     return EvaluationResult(
         workload=spec.name,
         platform=platform.name,

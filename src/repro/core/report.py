@@ -47,8 +47,8 @@ def generate(
 
     ``jobs > 1`` fans the independent characterization and evaluation
     runs over worker processes; ``cache`` persists characterization
-    runs in the run cache (under ``cache_dir``), so a regeneration with
-    unchanged inputs skips them entirely.  The emitted report is
+    runs and timed cells in the run cache (under ``cache_dir``), so a
+    regeneration with unchanged inputs skips them entirely.  The emitted report is
     byte-identical either way, and from run to run: its footer names
     the parameters, not the time taken.  A Table 8 cell that fails
     renders as an annotated FAILED row instead of aborting the whole
@@ -72,14 +72,12 @@ def collect(session) -> Dict[str, object]:
     """Every table's rows, from one open session, keyed by ledger table.
 
     Characterization tables run at the session's ``scale``; Table 8,
-    Figure 9 and Section 5.1 at its ``eval_scale``.
+    Figure 9 and Section 5.1 at its ``eval_scale``, as the session's
+    timed cells (memo, run cache, then its runner).
     """
     session.prefetch()
-    eval_scale, seed = session.config.eval_scale, session.seed
     mix_rows = E.figure1_instruction_mix(session)
-    runtime_rows = E.table8_runtimes(
-        scale=eval_scale, seed=seed, runner=session.runner()
-    )
+    runtime_rows = session.evaluate()
     return {
         "Figure 1": mix_rows,
         "Table 1": mix_rows,
@@ -93,7 +91,7 @@ def collect(session) -> Dict[str, object]:
         "Table 6": E.table6_transforms(),
         "Table 8": runtime_rows,
         "Figure 9": E.figure9_speedups(runtime_rows),
-        "Section 5.1": E.section51_restrict(eval_scale, seed),
+        "Section 5.1": E.section51_restrict(session),
     }
 
 
@@ -411,7 +409,6 @@ def render(
 
     # -- Tables 7, 8 / Figure 9 --------------------------------------------------------
     from repro.core.parallel import FailedCell
-    from repro.cpu.platforms import PLATFORMS
 
     runtime_rows = rows["Table 8"]
     failed_cells = sum(1 for r in runtime_rows if isinstance(r, FailedCell))
@@ -425,7 +422,7 @@ def render(
     for r in runtime_rows:
         if isinstance(r, FailedCell):
             t8_body.append(
-                [r.task[0], PLATFORMS[r.task[1]].name, "—", "—", "FAILED", None]
+                [r.task.workload, r.task.platform.name, "—", "—", "FAILED", None]
             )
             continue
         t8_body.append(

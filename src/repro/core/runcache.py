@@ -1,11 +1,12 @@
-"""Persistent on-disk cache of characterization runs.
+"""Persistent on-disk cache of characterization runs and timed cells.
 
 Characterizing a workload is deterministic: the same program, dataset
 scale, seed, and tool configuration always produce the same tool state.
 The paper's workflow (ATOM: instrument once, analyse many times) makes
 that determinism worth banking — regenerating EXPERIMENTS.md or
 re-running a benchmark should not pay for interpretation the previous
-invocation already did.
+invocation already did.  Timing is deterministic too, so the cache is
+also the one store of timed cells (Table 8 cells and sweep points).
 
 :class:`RunCache` stores pickled :class:`~repro.atom.runner.
 CharacterizationResult` objects keyed by a fingerprint of everything
@@ -28,6 +29,13 @@ first in a process memo, then in the :class:`ProgramStore` kept in the
 does it compile, and then it stores the text in both.  The program
 store keeps its own counters, so an identity lookup never counts as a
 result hit.
+
+A timed cell's key (:func:`cell_key`) hashes both variants'
+:func:`program_key`, the platform's ``repr``, scale, seed, budget, the
+dataset digest and :func:`timing_digest` (the timing model's sources),
+so an edited model is never answered from a stale cell.  Cells sit
+next to characterization results, so ``repro cache stats``, ``prune``
+and ``clear`` cover them.
 
 Anything that fails to fingerprint, load, or unpickle degrades to a
 cache miss — the cache can never change results, only skip work.
@@ -107,9 +115,14 @@ PROGRAMS_DIR = "programs"
 _PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The sources that decide what ``compile_source`` emits, relative to
-#: :data:`_PACKAGE`: the compiler, the ISA it targets, and the
-#: interpreter module whose C-style division constant folding borrows.
-_COMPILER_SOURCES = ("lang", "isa", "exec/interpreter.py")
+#: :data:`_PACKAGE`: the compiler and the ISA it targets (whose C-style
+#: division constant folding borrows).
+_COMPILER_SOURCES = ("lang", "isa")
+
+#: The sources that decide what a timing model computes from a program's
+#: events, relative to :data:`_PACKAGE`: the timing models, the caches
+#: and branch predictors they drive, and the event type they read.
+_TIMING_SOURCES = ("cpu", "cache", "branch", "exec/trace.py")
 
 
 def default_cache_dir() -> str:
@@ -185,10 +198,11 @@ def run_fingerprint(
     return hasher.hexdigest()
 
 
-def compiler_sources() -> List[str]:
-    """Paths of the source files :data:`_COMPILER_SOURCES` names."""
+def _sources(entries: Iterable[str]) -> List[str]:
+    """Paths of the ``.py`` files ``entries`` (relative to
+    :data:`_PACKAGE`) name."""
     paths = []
-    for entry in _COMPILER_SOURCES:
+    for entry in entries:
         path = os.path.join(_PACKAGE, *entry.split("/"))
         if not os.path.isdir(path):
             paths.append(path)
@@ -198,18 +212,35 @@ def compiler_sources() -> List[str]:
     return sorted(paths)
 
 
-@functools.lru_cache(maxsize=None)
-def compiler_digest() -> str:
-    """SHA-256 over :func:`compiler_sources`, read once per process:
-    an edit to any of them gives every program a new :func:`program_key`."""
+def _digest(paths: Iterable[str]) -> str:
+    """SHA-256 over the package-relative names and contents of ``paths``."""
     hasher = hashlib.sha256()
-    for path in compiler_sources():
+    for path in paths:
         hasher.update(os.path.relpath(path, _PACKAGE).replace(os.sep, "/").encode())
         hasher.update(b"\x00")
         with open(path, "rb") as handle:
             hasher.update(handle.read())
         hasher.update(b"\x00")
     return hasher.hexdigest()
+
+
+def compiler_sources() -> List[str]:
+    """Paths of the source files :data:`_COMPILER_SOURCES` names."""
+    return _sources(_COMPILER_SOURCES)
+
+
+@functools.lru_cache(maxsize=None)
+def compiler_digest() -> str:
+    """SHA-256 over :func:`compiler_sources`, read once per process:
+    an edit to any of them gives every program a new :func:`program_key`."""
+    return _digest(compiler_sources())
+
+
+@functools.lru_cache(maxsize=None)
+def timing_digest() -> str:
+    """SHA-256 over :data:`_TIMING_SOURCES`, read once per process: an
+    edit to any of them gives every timed cell a new :func:`cell_key`."""
+    return _digest(_sources(_TIMING_SOURCES))
 
 
 def program_key(
@@ -292,8 +323,35 @@ def workload_fingerprint(
     )
 
 
+def cell_key(cell) -> str:
+    """Run-cache key of one timed :class:`~repro.core.pipeline.Cell`:
+    both variants' :func:`program_key` under the cell's options, the
+    platform's ``repr`` (every field), scale, seed, instruction budget,
+    the dataset digest, and :func:`timing_digest`.  Keying never
+    compiles; it generates the cell's dataset."""
+    from repro.workloads.registry import get_workload
+
+    spec = get_workload(cell.workload)
+    hasher = hashlib.sha256()
+    for part in (
+        "cell",
+        program_key(spec.name, spec.source(False), cell.options),
+        program_key(spec.name, spec.source(True), cell.options),
+        repr(cell.platform),
+        cell.scale,
+        str(cell.seed),
+        str(DEFAULT_MAX_INSTRUCTIONS),
+        fingerprint_bindings(spec.dataset(cell.scale, cell.seed)),
+        timing_digest(),
+    ):
+        hasher.update(part.encode())
+        hasher.update(b"\x00")
+    return hasher.hexdigest()
+
+
 class RunCache:
-    """Filesystem-backed store of pickled characterization results."""
+    """Filesystem-backed store of pickled run results: characterization
+    runs, trace artifacts and timed cells, each under its own key."""
 
     #: Prefix of the :mod:`repro.obs.metrics` counters this store's
     #: counters are mirrored into.
@@ -552,8 +610,10 @@ class RunCache:
         return removed
 
     def prune(self, max_bytes: int) -> int:
-        """Evict oldest entries (by mtime) until the cache fits
-        ``max_bytes``; returns the number evicted.
+        """Evict the oldest entries (by mtime) of this directory and of
+        its :class:`ProgramStore` until together they fit ``max_bytes``;
+        returns the number evicted.  Each store counts its own
+        evictions.
 
         Eviction order is access recency where the filesystem records
         it (``load`` re-reads bump atime, not mtime, so this is
@@ -562,16 +622,17 @@ class RunCache:
         """
         entries = []
         total = 0
-        for path in self._entries():
-            try:
-                info = os.stat(path)
-            except OSError:
-                continue
-            entries.append((info.st_mtime, info.st_size, path))
-            total += info.st_size
-        entries.sort()
-        evicted = 0
-        for _mtime, size, path in entries:
+        for store in (self, self.programs):
+            for path in store._entries():
+                try:
+                    info = os.stat(path)
+                except OSError:
+                    continue
+                entries.append((info.st_mtime, info.st_size, path, store))
+                total += info.st_size
+        entries.sort(key=lambda entry: entry[:3])
+        evicted: Dict[RunCache, int] = {}
+        for _mtime, size, path, store in entries:
             if total <= max_bytes:
                 break
             try:
@@ -579,10 +640,10 @@ class RunCache:
             except OSError:
                 continue
             total -= size
-            evicted += 1
-        if evicted:
-            self._bump(evictions=evicted)
-        return evicted
+            evicted[store] = evicted.get(store, 0) + 1
+        for store, count in evicted.items():
+            store._bump(evictions=count)
+        return sum(evicted.values())
 
 
 class ProgramStore(RunCache):

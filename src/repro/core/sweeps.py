@@ -12,17 +12,23 @@ composable API:
 so downstream users can run their own sensitivity studies over any
 :class:`repro.cpu.PlatformConfig` field or
 :class:`repro.lang.CompilerOptions` field without copying harness code.
+
+Each point is one :class:`~repro.core.pipeline.Cell`:
+:func:`platform_cells` and :func:`compiler_cells` build them, and
+:meth:`repro.api.Session.sweep` times them through the session's memo,
+run cache and runner.  The module-level sweep functions do the same in
+a session without a cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.pipeline import evaluate_workload
+from repro.core.pipeline import Cell
 from repro.cpu.platforms import ALPHA_21264, PlatformConfig
+from repro.lang.compiler import CompilerOptions
 from repro.workloads.registry import WorkloadSpec, get_workload
 
 
@@ -48,63 +54,76 @@ def _resolve(workload) -> WorkloadSpec:
     return get_workload(workload)
 
 
-def _platform_point(task) -> SweepPoint:
-    """Worker: evaluate one platform-field sweep point.
-
-    Module-level (and spec-by-name) so sweep points can be farmed out to
-    worker processes; called inline for serial sweeps.
-    """
-    name, field, value, base, scale, seed = task
-    spec = get_workload(name)
-    platform = dataclasses.replace(
-        base, name=f"{base.name}[{field}={value}]", **{field: value}
-    )
-    if field == "int_registers":
-        platform = dataclasses.replace(platform, float_registers=value)
-    evaluation = evaluate_workload(spec, platform, scale=scale, seed=seed)
-    return SweepPoint(
-        field=field,
-        value=value,
-        original_cycles=evaluation.original.cycles,
-        transformed_cycles=evaluation.transformed.cycles,
-    )
+def _check_field(field: str, config: type, what: str) -> None:
+    names = {f.name for f in dataclasses.fields(config)}
+    if field not in names:
+        raise ValueError(f"unknown {what} {field!r}; expected one of {sorted(names)}")
 
 
-def _compiler_point(task) -> SweepPoint:
-    """Worker: evaluate one compiler-flag sweep point (both versions)."""
-    name, field, value, platform, scale, seed = task
-    from repro.cpu.platforms import make_timing_model
-    from repro.exec.backends import make_interpreter
-    from repro.lang.compiler import compile_source
-
-    spec = get_workload(name)
-
-    def timed(transformed: bool) -> int:
-        options = platform.compiler_options()
-        setattr(options, field, value)
-        program = compile_source(
-            spec.source(transformed), f"{spec.name}-{field}-{value}", options
+def platform_cells(
+    workload,
+    field: str,
+    values: Sequence[object],
+    base: PlatformConfig = ALPHA_21264,
+    scale: str = "small",
+    seed: int = 0,
+) -> List[Cell]:
+    """One cell per value of :class:`PlatformConfig` field ``field`` on
+    ``base``, renamed ``base[field=value]``.  ``int_registers`` sets
+    ``float_registers`` too."""
+    spec = _resolve(workload)
+    _check_field(field, PlatformConfig, "platform field")
+    cells = []
+    for value in values:
+        changes = {field: value}
+        if field == "int_registers":
+            changes["float_registers"] = value
+        platform = dataclasses.replace(
+            base, name=f"{base.name}[{field}={value}]", **changes
         )
-        model = make_timing_model(platform)
-        make_interpreter(program, spec.dataset(scale, seed)).run(
-            consumers=(model,)
+        cells.append(Cell.of(spec.name, platform, scale, seed))
+    return cells
+
+
+def compiler_cells(
+    workload,
+    field: str,
+    values: Sequence[object],
+    platform: PlatformConfig = ALPHA_21264,
+    scale: str = "small",
+    seed: int = 0,
+) -> List[Cell]:
+    """One cell per value of :class:`CompilerOptions` field ``field``,
+    on ``platform`` at its baseline options otherwise."""
+    spec = _resolve(workload)
+    _check_field(field, CompilerOptions, "compiler option")
+    return [
+        Cell.of(spec.name, platform, scale, seed, **{field: value}) for value in values
+    ]
+
+
+def sweep_points(
+    field: str, values: Sequence[object], evaluations: Sequence
+) -> List[SweepPoint]:
+    """One :class:`SweepPoint` per value, from its cell's evaluation."""
+    return [
+        SweepPoint(
+            field=field,
+            value=value,
+            original_cycles=evaluation.original.cycles,
+            transformed_cycles=evaluation.transformed.cycles,
         )
-        return model.result().cycles
-
-    return SweepPoint(
-        field=field,
-        value=value,
-        original_cycles=timed(False),
-        transformed_cycles=timed(True),
-    )
+        for value, evaluation in zip(values, evaluations)
+    ]
 
 
-def _run_points(worker, tasks, jobs: int, runner=None) -> List[SweepPoint]:
-    from repro.core.parallel import ParallelRunner
+def _sweep(workload, field, values, kind, scale, seed, jobs, **kwargs):
+    from repro.api import Session
 
-    own = runner is None
-    with ParallelRunner(jobs=jobs) if own else nullcontext(runner) as active:
-        return active.map(worker, tasks)
+    with Session(cache=False, jobs=jobs) as session:
+        return session.sweep(
+            workload, field, values, kind, scale=scale, seed=seed, **kwargs
+        )
 
 
 def sweep_platform_field(
@@ -115,7 +134,6 @@ def sweep_platform_field(
     scale: str = "small",
     seed: int = 0,
     jobs: int = 1,
-    runner=None,
 ) -> List[SweepPoint]:
     """Evaluate original vs transformed while varying one platform field.
 
@@ -125,18 +143,12 @@ def sweep_platform_field(
     cmov availability, predication) take effect there too, because each
     point recompiles with the modified platform's options.
 
-    ``jobs > 1`` evaluates the points across worker processes; each
-    point is independent and results keep ``values`` order, so output
-    is identical to the serial sweep.
+    The points run through a cache-less :meth:`repro.api.Session.sweep`;
+    ``jobs > 1`` times them across worker processes.  Each point is
+    independent and results keep ``values`` order, so output is
+    identical to the serial sweep.
     """
-    spec = _resolve(workload)
-    names = {f.name for f in dataclasses.fields(PlatformConfig)}
-    if field not in names:
-        raise ValueError(
-            f"unknown platform field {field!r}; expected one of {sorted(names)}"
-        )
-    tasks = [(spec.name, field, value, base, scale, seed) for value in values]
-    return _run_points(_platform_point, tasks, jobs, runner)
+    return _sweep(workload, field, values, "platform", scale, seed, jobs, base=base)
 
 
 def sweep_compiler_flag(
@@ -147,7 +159,6 @@ def sweep_compiler_flag(
     scale: str = "small",
     seed: int = 0,
     jobs: int = 1,
-    runner=None,
 ) -> List[SweepPoint]:
     """Vary one :class:`CompilerOptions` field for both code versions.
 
@@ -156,12 +167,9 @@ def sweep_compiler_flag(
     ``unroll_factor``, ``opt_level``.  ``jobs`` works as in
     :func:`sweep_platform_field`.
     """
-    spec = _resolve(workload)
-    probe = platform.compiler_options()
-    if not hasattr(probe, field):
-        raise ValueError(f"unknown compiler option {field!r}")
-    tasks = [(spec.name, field, value, platform, scale, seed) for value in values]
-    return _run_points(_compiler_point, tasks, jobs, runner)
+    return _sweep(
+        workload, field, values, "compiler", scale, seed, jobs, platform=platform
+    )
 
 
 def render_sweep(points: Iterable[SweepPoint], title: Optional[str] = None) -> str:

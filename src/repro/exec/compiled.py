@@ -95,9 +95,8 @@ from repro.exec.interpreter import (
     Interpreter,
     InterpreterError,
     _dispatch_sinks,
-    _trunc_div,
 )
-from repro.isa.instructions import WORD_SIZE, Opcode
+from repro.isa.instructions import WORD_SIZE, Opcode, _trunc_div
 from repro.isa.program import Program
 from repro.isa.registers import Reg, RegClass
 

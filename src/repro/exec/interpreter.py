@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.isa.instructions import WORD_SIZE, Instruction, Opcode
+from repro.isa.instructions import WORD_SIZE, Instruction, Opcode, _trunc_div
 from repro.isa.program import Program
 from repro.isa.registers import Reg, RegClass
 
@@ -56,12 +56,6 @@ class InterpreterError(Exception):
 
 class BudgetExceeded(InterpreterError):
     """The instruction budget was exhausted before HALT."""
-
-
-def _trunc_div(a: int, b: int) -> int:
-    """C-style integer division (truncate toward zero)."""
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
 
 
 class _CountingFanout:

@@ -137,6 +137,13 @@ CMP_OPS = frozenset(
 WORD_SIZE = 8
 
 
+def _trunc_div(a: int, b: int) -> int:
+    """C-style integer division (truncate toward zero): what ``DIV``
+    computes, and what ``MOD`` derives its remainder from."""
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
 @dataclass
 class Instruction:
     """One static machine instruction.

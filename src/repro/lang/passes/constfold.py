@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction, Opcode, _trunc_div
 from repro.isa.program import Program
 from repro.isa.registers import Reg
-from repro.exec.interpreter import _trunc_div
 
 Number = Union[int, float]
 

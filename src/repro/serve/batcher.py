@@ -4,9 +4,9 @@ The batcher is the only component that talks to the engine, and it
 talks to it through exactly one door: the :class:`repro.api.Session`
 facade.  Two mechanisms keep repeat requests off the engine:
 
-* **memo fast path** — a characterize, evaluate or analyze request
-  whose result the session has already materialized (for analyze:
-  every requested tool's payload) is answered synchronously in the
+* **memo fast path** — a request whose result the session has already
+  materialized (for analyze: every requested tool's payload; for a
+  sweep: every point's cell) is answered synchronously in the
   submitting thread, never touching the queue (``serve.fast_path``
   counter);
 * **single-flight** — concurrent requests for the same run (keyed by
@@ -20,14 +20,13 @@ thread takes one flight at a time and runs it through one session
 call: characterize through :meth:`Session.run`, analyze, evaluate and
 sweep through their namesakes.  Whatever the call maps over the
 session's runner runs in its worker pool at ``jobs >= 2`` — a lone
-characterize run included — so a run that kills its worker fails only
-its own request.
+characterize run or evaluate cell included — so a run that kills its
+worker fails only its own request.
 
 Deadlines are checked when a request resolves: a request whose
 deadline has passed gets a ``deadline_exceeded`` error even when the
-run itself succeeded — a characterize, evaluate or analyze result
-still lands in the session memo, so the client's retry is a fast-path
-hit.
+run itself succeeded — its result still lands in the session memo, so
+the client's retry is a fast-path hit.
 A request that expires while queued is never run.
 
 A run that fails (its task raised, or its worker died) resolves its
@@ -229,9 +228,8 @@ class Batcher:
     def _memo_payload(
         self, request: protocol.ServiceRequest
     ) -> Optional[Dict[str, Any]]:
-        """The payload of a characterize, evaluate or analyze request the
-        session has already materialized, or None (memo only, no engine
-        work)."""
+        """The payload of a request the session has already
+        materialized, or None (memo only, no engine work)."""
         session = self._session
         if request.kind == "characterize":
             run = session.memoized(request.workload, request.scale, request.seed)
@@ -249,6 +247,17 @@ class Batcher:
             )
             if analysis is not None:
                 return protocol.analyze_payload(analysis)
+        else:
+            points = session.memoized_sweep(
+                request.workload,
+                request.field,
+                list(request.values or ()),
+                request.sweep_kind,
+                scale=request.scale,
+                seed=request.seed,
+            )
+            if points is not None:
+                return protocol.sweep_payload(request.field, points)
         return None
 
     def _key(self, request: protocol.ServiceRequest) -> str:
@@ -389,13 +398,13 @@ class Batcher:
                 seed=request.seed,
             )
             return protocol.evaluation_payload(evaluation)
-        extra = {} if request.scale is None else {"scale": request.scale}
         points = session.sweep(
             request.workload,
             request.field,
             list(request.values or ()),
-            kind=request.sweep_kind,
-            **extra,
+            request.sweep_kind,
+            scale=request.scale,
+            seed=request.seed,
         )
         return protocol.sweep_payload(request.field, points)
 

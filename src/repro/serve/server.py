@@ -532,9 +532,9 @@ def main_loop(
     down the worker pool.
 
     The GIL switch interval drops from 5 ms to 0.5 ms at any
-    ``--jobs``: analyze and single-cell evaluate requests (and, at
-    ``--jobs 1``, every engine run) execute in this process, and a memo
-    hit arriving mid-run would otherwise wait out the interval.
+    ``--jobs``: analyze requests (and, at ``--jobs 1``, every engine
+    run) execute in this process, and a memo hit arriving mid-run would
+    otherwise wait out the interval.
     """
     import signal
 

@@ -130,7 +130,8 @@ def test_evaluate_single_platform_returns_evaluation_result():
 def test_evaluate_grid_matches_experiments_helper():
     session = Session(eval_scale="test", cache=False)
     rows = session.evaluate(platforms=("alpha",))
-    assert rows == E.table8_runtimes(scale="test", seed=0, platform_keys=("alpha",))
+    cells = E.table8_cells(scale="test", seed=0, platform_keys=("alpha",))
+    assert rows == E.table8_runtimes([parallel._evaluate_task(c) for c in cells])
 
 
 def test_evaluate_grid_defaults_to_all_table7_platforms_plus_ldbp():

@@ -122,15 +122,10 @@ def _imported_modules(path):
                 yield f"{module}.{alias.name}"
 
 
-def test_compiler_digest_covers_every_repro_module_the_compiler_imports():
-    """Every ``repro`` module that ``repro.lang`` or ``repro.isa``
-    imports is hashed; ``exec/interpreter.py`` is one of them (constant
-    folding borrows its C-style division), hashed whole."""
-    sources = set(compiler_sources())
-    packages = [os.path.join(runcache._PACKAGE, name, "") for name in ("lang", "isa")]
-    compiler_files = [p for p in sources if p.startswith(tuple(packages))]
-    assert os.path.join(runcache._PACKAGE, "lang", "compiler.py") in compiler_files
-    for path in compiler_files:
+def _assert_imports_hashed(files, sources, digest):
+    """Every ``repro`` module that one of ``files`` imports is one of
+    ``sources``."""
+    for path in files:
         for module in _imported_modules(path):
             if not module.startswith("repro."):
                 continue
@@ -142,8 +137,49 @@ def test_compiler_digest_covers_every_repro_module_the_compiler_imports():
                 continue
             assert spec.origin in sources, (
                 f"{os.path.relpath(path, runcache._PACKAGE)} imports {module}, "
-                f"which compiler_digest does not hash"
+                f"which {digest} does not hash"
             )
+
+
+def test_compiler_digest_covers_every_repro_module_the_compiler_imports():
+    """Every ``repro`` module that ``repro.lang`` or ``repro.isa``
+    imports is hashed, and only those two packages are: constant folding
+    takes its C-style division from ``repro.isa``, so an edit to the
+    interpreter re-keys no program."""
+    sources = set(compiler_sources())
+    packages = [os.path.join(runcache._PACKAGE, name, "") for name in ("lang", "isa")]
+    compiler_files = [p for p in sources if p.startswith(tuple(packages))]
+    assert os.path.join(runcache._PACKAGE, "lang", "compiler.py") in compiler_files
+    assert set(compiler_files) == sources
+    _assert_imports_hashed(compiler_files, sources, "compiler_digest")
+
+
+def test_timing_digest_covers_every_repro_module_the_timing_model_imports():
+    """A cell key hashes ``timing_digest`` and both variants' program
+    keys, so every ``repro`` module that the timing model's sources
+    import is hashed by one of the two digests."""
+    timing = runcache._sources(runcache._TIMING_SOURCES)
+    assert os.path.join(runcache._PACKAGE, "cpu", "ooo.py") in timing
+    assert os.path.join(runcache._PACKAGE, "exec", "trace.py") in timing
+    _assert_imports_hashed(
+        timing, set(timing) | set(compiler_sources()), "a cell key"
+    )
+
+
+def test_prune_bounds_the_program_store_too(tmp_path, monkeypatch):
+    """One program's identity under two compiler digests: both texts go
+    with ``repro cache prune --max-mb 0``."""
+    cache = RunCache(str(tmp_path))
+    for digest in ("0" * 64, "1" * 64):
+        monkeypatch.setattr(runcache, "compiler_digest", lambda digest=digest: digest)
+        monkeypatch.setattr(runcache, "_IDENTITY_MEMO", {})
+        program_identity(get_workload("fasta"), cache)
+    programs = ProgramStore(cache)
+    assert programs.stats()["entries"] == 2
+
+    main(["cache", "prune", "--cache-dir", str(tmp_path), "--max-mb", "0"])
+    stats = programs.stats()
+    assert (stats["entries"], stats["evictions"]) == (0, 2)
 
 
 def test_a_cached_session_digests_the_compiler_when_it_starts(tmp_path, monkeypatch):

@@ -262,7 +262,7 @@ REQUIRED_ANCHORS = {
         "--no-telemetry", "format=prometheus", "coalesced_into",
     ],
     os.path.join("docs", "robustness.md"): [
-        "FailedCell", "WorkerCrash", "--checkpoint", "quarantine",
+        "FailedCell", "WorkerCrash", "--cache-dir", "quarantine",
     ],
     os.path.join("docs", "performance.md"): [
         "The reference engine", "test_fuzz.py", "test_timed_path.py",

@@ -10,8 +10,7 @@ from repro.exec import (
     run_program,
 )
 from repro.exec.compiled import CompiledInterpreter
-from repro.exec.interpreter import _trunc_div
-from repro.isa.instructions import WORD_SIZE, Opcode
+from repro.isa.instructions import WORD_SIZE, Opcode, _trunc_div
 from repro.lang.compiler import CompilerOptions, compile_source
 from tests.engines import run_each
 

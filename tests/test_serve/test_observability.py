@@ -232,14 +232,15 @@ class TestWorkerSpanAdoption:
 
     def test_sweep_worker_spans_carry_request_id(self):
         # The first sweep starts the pool; the second runs on workers
-        # that were forked while another request was being served.
+        # that were forked while another request was being served.  Its
+        # points differ, so the session memo cannot answer it.
         tracing.enable()
         svc = _service(config=RunConfig(scale="test", jobs=2, cache=False))
         try:
-            for rid in ("req-sweep-1", "req-sweep-2"):
+            for rid, values in (("req-sweep-1", [1, 2]), ("req-sweep-2", [3, 4])):
                 status, body = ServiceClient(svc).request(
                     {"kind": "sweep", "workload": "hmmsearch",
-                     "field": "l1_hit_int", "values": [1, 2]},
+                     "field": "l1_hit_int", "values": values},
                     request_id=rid,
                 )
                 assert status == 200

@@ -151,6 +151,35 @@ class TestEvaluateMemo:
         )
         assert len(timed) == 2  # the original and transformed variants, once
 
+    def test_repeat_sweep_is_a_memo_hit(self, monkeypatch):
+        """A repeated sweep request is answered on the memo fast path:
+        cached, byte-identical, and with no second timing run."""
+        from repro.core import pipeline
+
+        timed = []
+        real_run_timed = pipeline.run_timed
+
+        def counting_run_timed(*args, **kwargs):
+            timed.append(args[:3])
+            return real_run_timed(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_timed", counting_run_timed)
+        svc = CharacterizationService(
+            config=RunConfig(scale="test", jobs=1, cache=False)
+        )
+        try:
+            client = ServiceClient(svc)
+            first = client.sweep("predator", "l1_hit_int", [1, 3])
+            second = client.sweep("predator", "l1_hit_int", [1, 3])
+        finally:
+            svc.close()
+        assert first[0] == second[0] == 200
+        assert (first[1]["cached"], second[1]["cached"]) == (False, True)
+        assert canonical_json(second[1]["result"]) == canonical_json(
+            first[1]["result"]
+        )
+        assert len(timed) == 4  # two points, both variants, once each
+
     def test_evaluate_request_seed_reaches_the_session(self, client):
         """The seed in an evaluate request picks the dataset, as the
         request key already assumed."""
